@@ -40,7 +40,7 @@ func TestVNITagUntagRoundTripAllocs(t *testing.T) {
 				t.Fatalf("vni = %d, want %d", gotVNI, vni)
 			}
 		})
-		if allocs != 0 {
+		if allocs != 0 && !raceEnabled {
 			t.Errorf("vni %d tag/untag round trip: %.1f allocs/op, want 0", vni, allocs)
 		}
 		if got.Dst != f.Dst || got.Src != f.Src || got.Type != f.Type || !bytes.Equal(got.Payload, f.Payload) {
@@ -59,7 +59,7 @@ func TestRelayWrapAllocs(t *testing.T) {
 		wire[0] = rendezvous.RelayMagic
 		binary.BigEndian.PutUint64(wire[1:], ch)
 	})
-	if allocs != 0 {
+	if allocs != 0 && !raceEnabled {
 		t.Errorf("relay wrap: %.1f allocs/op, want 0", allocs)
 	}
 	// The envelope must decode back to the frame it wraps.

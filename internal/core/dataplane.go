@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -422,7 +421,7 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		}
 	}
 	h.FloodedFrames++
-	atomicBump(seg.flood)
+	seg.counts.flood++
 	for _, t := range h.sortedTunnels() {
 		if !t.established {
 			continue
@@ -432,15 +431,12 @@ func (h *Host) switchFrame(seg *segment, f *ether.Frame) {
 		// frame could only die at their isolation check.
 		if !h.floodUseful(t, seg.vni) {
 			h.SuppressedFloods++
-			atomicBump(seg.suppress)
+			seg.counts.suppress++
 			continue
 		}
 		send(t)
 	}
 }
-
-// atomicBump increments a pre-resolved CounterSet handle.
-func atomicBump(ctr *uint64) { atomic.AddUint64(ctr, 1) }
 
 // sortedTunnels returns tunnels in deterministic order for flooding.
 // The returned slice is a reused scratch: it is only valid until the

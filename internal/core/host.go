@@ -21,7 +21,6 @@ import (
 	"wavnet/internal/can"
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
@@ -238,12 +237,14 @@ type segment struct {
 	bridge *ether.Bridge
 	tap    *ether.BridgePort
 	dom0   *ipstack.Stack
-	// flood / suppress are pre-resolved handles into the host's per-VNI
-	// counter set, so the flood path bumps them with one atomic add
-	// instead of a string-keyed locked map probe.
-	flood    *uint64
-	suppress *uint64
+	// counts is the host's per-VNI flood/suppress tally for this
+	// network, resolved once so the flood path bumps a field instead of
+	// probing a map.
+	counts *vniCount
 }
+
+// vniCount is one virtual network's flood and suppression tally.
+type vniCount struct{ flood, suppress uint64 }
 
 // Host is a WAVNet participant.
 type Host struct {
@@ -356,10 +357,11 @@ type Host struct {
 	VIPSteers       uint64
 	VIPAnnouncesOut uint64
 	VIPAnnouncesIn  uint64
-	// vniCounters breaks floods and suppressions down per virtual
-	// network ("flood.vni<N>" / "suppress.vni<N>"); the data path bumps
-	// pre-resolved handles cached on each segment (see segment).
-	vniCounters *metrics.CounterSet
+	// vniCounts breaks floods and suppressions down per virtual
+	// network; the data path bumps the entry cached on each segment.
+	// Entries outlive their segment, so a network's totals survive
+	// LeaveVNI and resume on a re-join.
+	vniCounts map[uint32]*vniCount
 	// floodScratch is the reusable tunnel ordering of sortedTunnels.
 	floodScratch []*Tunnel
 
@@ -408,7 +410,7 @@ func NewHost(phys *netsim.Host, name string, cfg Config) (*Host, error) {
 		peering:     ether.NewPeeringTable(),
 		vniTenant:   make(map[uint32]string),
 		tenantQuota: make(map[string]QuotaConfig),
-		vniCounters: metrics.NewCounterSet(),
+		vniCounts:   make(map[uint32]*vniCount),
 		vips:        make(map[uint32]map[netsim.IP]*vipTableEntry),
 		vipRecords:  make(map[string]rendezvous.VIPRecord),
 		batchSizes:  obs.NewHistogram(),
@@ -432,9 +434,11 @@ func (h *Host) addSegment(vni uint32) *segment {
 	if vni != 0 {
 		suffix = fmt.Sprintf(".%d", vni)
 	}
-	seg := &segment{vni: vni}
-	seg.flood = h.vniCounters.Handle(fmt.Sprintf("flood.vni%d", vni))
-	seg.suppress = h.vniCounters.Handle(fmt.Sprintf("suppress.vni%d", vni))
+	seg := &segment{vni: vni, counts: h.vniCounts[vni]}
+	if seg.counts == nil {
+		seg.counts = &vniCount{}
+		h.vniCounts[vni] = seg.counts
+	}
 	seg.bridge = ether.NewBridge(h.eng, h.name+"-br0"+suffix, h.cfg.BridgeLatency)
 	seg.tap = seg.bridge.AddPort("wav0" + suffix)
 	seg.tap.SetRecv(func(f *ether.Frame) { h.onTapFrame(seg, f) })

@@ -59,7 +59,7 @@ func (r *MigrationResult) String() string {
 		)
 	}
 	t.notes = append(t.notes,
-		"counters come from vm.VM's uniform export (migrations/rounds/pages_copied/downtime_us/aborts)",
+		"counters come from vm.VM's migration statistics (Rounds/PagesCopied/Aborts fields)",
 		"partition row: the destination becomes unreachable mid-copy; the stall watchdog aborts and the VM keeps serving at the source")
 	return t.String()
 }
@@ -153,10 +153,9 @@ func MigrationOnce(o Options, memMB int, dirtyRate float64, fault string) (*Migr
 		}
 	}
 
-	c := v.Counters()
-	row.Rounds = c.Get("rounds")
-	row.Pages = c.Get("pages_copied")
-	row.Aborts = c.Get("aborts")
+	row.Rounds = v.Rounds
+	row.Pages = v.PagesCopied
+	row.Aborts = v.Aborts
 	switch {
 	case migErr == nil:
 		row.Outcome = "ok"

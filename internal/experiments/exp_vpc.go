@@ -194,9 +194,9 @@ func vpcOnce(o Options, tenants, hostsPer int) (*VPCRow, error) {
 		// Layer 1 — smarter flooding: the attacker's host knows (from
 		// VNI announcements) that the victim carries a different tenant
 		// and suppresses the tagged broadcast before the wire.
-		suppressedBefore := attacker.Host.VPCCounters().Get("suppressed_floods")
+		suppressedBefore := attacker.Host.SuppressedFloods
 		flood()
-		row.FloodSuppressed = attacker.Host.VPCCounters().Get("suppressed_floods") - suppressedBefore
+		row.FloodSuppressed = attacker.Host.SuppressedFloods - suppressedBefore
 		if row.FloodSuppressed == 0 {
 			return nil, fmt.Errorf("no floods were suppressed toward the forced tunnel")
 		}
@@ -204,9 +204,9 @@ func vpcOnce(o Options, tenants, hostsPer int) (*VPCRow, error) {
 		// Layer 2 — receiver-side tag check: disable suppression so the
 		// frames really cross, and count them dying at the victim.
 		attacker.Host.SetFloodAll(true)
-		dropsBefore := victim.VPCCounters().Get("cross_vni_drops")
+		dropsBefore := victim.CrossVNIDrops
 		flood()
-		row.CrossDropped = victim.VPCCounters().Get("cross_vni_drops") - dropsBefore
+		row.CrossDropped = victim.CrossVNIDrops - dropsBefore
 		row.CrossDelivered = delivered
 		if row.CrossDropped == 0 {
 			return nil, fmt.Errorf("no frames crossed the forced tunnel; leak counters are vacuous")

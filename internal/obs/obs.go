@@ -2,12 +2,15 @@
 // metrics registry (counters, gauges, log-scale histograms) and a
 // sim-time span tracer.
 //
-// The registry generalizes metrics.CounterSet — every subsystem keeps
-// exporting a flat CounterSet, and scrapers (scenario.World.Scrape)
-// plug those sets into a Registry under a {tenant, net, broker, host}
-// label set so per-layer series survive aggregation. One snapshot /
-// delta / merge API covers the whole registry, with a stable text and
-// JSON render for experiment tables and the BENCH_* trajectory files.
+// The registry is the one counter export. Subsystems keep their own
+// counters (mostly plain struct fields) and export them through a
+// ScrapeInto(r, labels) method that writes each series straight into
+// the scrape's Registry; scrapers (scenario.World.Scrape) resolve the
+// {tenant, net, broker, host} labels at scrape time, so per-layer
+// series survive aggregation. One snapshot / delta / merge API covers
+// the whole registry. Aggregations walk series in registration order;
+// only the text and JSON renders (experiment tables, BENCH_* files)
+// sort them.
 //
 // The tracer records spans stamped with sim.Time and threaded by a
 // causality (trace) ID through the fabric's multi-step flows — Apply

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"wavnet/internal/metrics"
 	"wavnet/internal/sim"
 )
 
@@ -103,10 +102,8 @@ func TestRegistryLabeledSeries(t *testing.T) {
 		t.Fatalf("len = %d, want 4", r.Len())
 	}
 
-	cs := metrics.NewCounterSet()
-	cs.Add("quota_drops", 5)
-	r.AddCounterSet(acme, cs)
-	r.AddCounterSet(acme, cs) // same labels: sums
+	r.Counter("quota_drops", acme).Add(5)
+	r.Counter("quota_drops", acme).Add(5) // same labels: one series
 	if v, _ := r.CounterValue("quota_drops", acme); v != 10 {
 		t.Fatalf("quota_drops = %d, want 10", v)
 	}

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"wavnet/internal/metrics"
 )
 
 // Kind discriminates the series types a Registry holds.
@@ -151,26 +149,6 @@ func (r *Registry) AddHistogram(name string, labels Labels, h *Histogram) {
 	r.Histogram(name, labels).merge(h)
 }
 
-// AddCounterSet plugs a subsystem's flat CounterSet into the registry
-// under one label set: every counter of the set is added into the
-// like-named labeled counter (so scraping two sources onto the same
-// labels sums them).
-func (r *Registry) AddCounterSet(labels Labels, cs *metrics.CounterSet) {
-	r.AddCounterSetPrefix("", labels, cs)
-}
-
-// AddCounterSetPrefix is AddCounterSet with every counter name
-// prefixed — scrapers use it to namespace subsystems whose flat
-// counter names would otherwise collide (e.g. "placement.").
-func (r *Registry) AddCounterSetPrefix(prefix string, labels Labels, cs *metrics.CounterSet) {
-	if cs == nil {
-		return
-	}
-	for _, name := range cs.Names() {
-		r.Counter(prefix+name, labels).Add(cs.Get(name))
-	}
-}
-
 // Len reports the number of series.
 func (r *Registry) Len() int {
 	r.mu.Lock()
@@ -200,11 +178,11 @@ func (r *Registry) GaugeValue(name string, labels Labels) (float64, bool) {
 	return s.gauge.Value(), true
 }
 
-// Total sums a counter name across every label set — the registry
-// analogue of merging per-host CounterSets before reading one name.
+// Total sums a counter name across every label set (e.g. one counter
+// over every host of a scrape).
 func (r *Registry) Total(name string) uint64 {
 	var sum uint64
-	for _, s := range r.sorted() {
+	for _, s := range r.all() {
 		if s.key.name == name && s.kind == KindCounter {
 			sum += s.counter.Value()
 		}
@@ -212,8 +190,17 @@ func (r *Registry) Total(name string) uint64 {
 	return sum
 }
 
+// all snapshots the series in registration order. The order slice is
+// append-only, so the capped view stays valid without a copy.
+func (r *Registry) all() []*series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.order[:len(r.order):len(r.order)]
+}
+
 // sorted snapshots the series ordered by (name, labels) — the stable
-// render order, independent of registration order.
+// render order, independent of registration order. Only renders pay
+// for the sort; aggregations walk all().
 func (r *Registry) sorted() []*series {
 	r.mu.Lock()
 	out := append([]*series(nil), r.order...)
@@ -238,7 +225,7 @@ func (r *Registry) Snapshot() *Registry {
 // Merge folds other into r: counters and gauges sum, histograms merge
 // bucket-wise, series absent from r are created.
 func (r *Registry) Merge(other *Registry) {
-	for _, s := range other.sorted() {
+	for _, s := range other.all() {
 		switch s.kind {
 		case KindCounter:
 			r.Counter(s.key.name, s.key.labels).Add(s.counter.Value())
@@ -252,11 +239,11 @@ func (r *Registry) Merge(other *Registry) {
 
 // Delta returns a new registry holding r minus prev per series:
 // counters subtract clamped at zero (a restarted source reset its
-// totals; see metrics.CounterSet.Delta), histograms subtract
-// bucket-wise, gauges keep their current (instantaneous) value.
+// totals instead of wrapping uint64), histograms subtract bucket-wise,
+// gauges keep their current (instantaneous) value.
 func (r *Registry) Delta(prev *Registry) *Registry {
 	out := NewRegistry()
-	for _, s := range r.sorted() {
+	for _, s := range r.all() {
 		switch s.kind {
 		case KindCounter:
 			cur := s.counter.Value()

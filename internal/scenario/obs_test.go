@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -236,9 +237,14 @@ func TestRestartBrokerCounterDeltaClamped(t *testing.T) {
 	if err := w.WAVNetUp(); err != nil {
 		t.Fatal(err)
 	}
-	prev := w.Rdv.Counters()
-	if prev.Get("joins") < 2 {
-		t.Fatalf("primary broker saw %d joins, want >= 2", prev.Get("joins"))
+	scrape := func() *obs.Registry {
+		r := obs.NewRegistry()
+		w.Rdv.ScrapeInto(r, obs.Labels{})
+		return r
+	}
+	prev := scrape()
+	if joins := prev.Total("joins"); joins < 2 {
+		t.Fatalf("primary broker saw %d joins, want >= 2", joins)
 	}
 	if err := w.KillBroker(PrimaryBroker); err != nil {
 		t.Fatal(err)
@@ -248,13 +254,14 @@ func TestRestartBrokerCounterDeltaClamped(t *testing.T) {
 	}
 	// The fresh server's totals restart from zero: every delta entry
 	// clamps instead of wrapping.
-	d := w.Rdv.Counters().Delta(prev)
-	for _, name := range d.Names() {
-		if v := d.Get(name); v > 1<<62 {
+	d := scrape().Delta(prev)
+	for _, line := range strings.Split(strings.TrimSpace(d.String()), "\n") {
+		name, val, _ := strings.Cut(line, " ")
+		if v, _ := strconv.ParseUint(val, 10, 64); v > 1<<62 {
 			t.Fatalf("delta %s = %d: uint64 wraparound", name, v)
 		}
 	}
-	if v := d.Get("joins"); v != 0 {
+	if v := d.Total("joins"); v != 0 {
 		t.Fatalf("joins delta after restart = %d, want 0 (clamped)", v)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"wavnet/internal/nat"
 	"wavnet/internal/netsim"
+	"wavnet/internal/obs"
 	"wavnet/internal/sim"
 	"wavnet/internal/vpc"
 )
@@ -132,8 +133,8 @@ func TestPlacementApplyPlacesAndMigrates(t *testing.T) {
 	}
 	// Only members carry the tenant's segment — the vif cannot have
 	// visited a host outside the network.
-	if c := v.Counters(); c.Get("migrations") != 1 || c.Get("aborts") != 0 {
-		t.Fatalf("VM counters %s, want migrations=1 aborts=0", c)
+	if len(v.Migrations) != 1 || v.Aborts != 0 {
+		t.Fatalf("VM migrations=%d aborts=%d, want 1 and 0", len(v.Migrations), v.Aborts)
 	}
 
 	// Drain the stream to completion: every byte crossed the migration.
@@ -220,9 +221,11 @@ func TestPlacementSchedulerUsesLocality(t *testing.T) {
 	if !isNear {
 		t.Fatalf("scheduler placed the VM on %q, want a tight-cluster host %v", host, near)
 	}
-	pc := w.VPC().PlacementCounters()
-	if pc.Get("placements") == 0 || pc.Get("group_hits") == 0 {
-		t.Fatalf("placement counters %s: want a locality-core hit", pc)
+	r := w.Scrape()
+	placements, _ := r.CounterValue("placement.placements", obs.Labels{})
+	hits, _ := r.CounterValue("placement.group_hits", obs.Labels{})
+	if placements == 0 || hits == 0 {
+		t.Fatalf("placement counters %d placements, %d group hits: want a locality-core hit", placements, hits)
 	}
 	// A scheduler choice is sticky: re-applying does not move the VM.
 	again, err := w.ApplySync(spec)

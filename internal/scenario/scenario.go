@@ -1086,7 +1086,7 @@ func (w *World) Scrape() *obs.Registry {
 			continue
 		}
 		l := w.machineLabels(m)
-		r.AddCounterSet(l, m.WAV.VPCCounters())
+		m.WAV.ScrapeInto(r, l)
 		r.Gauge("tunnels", l).Set(float64(len(m.WAV.Tunnels())))
 		r.AddHistogram("batch_frames", l, m.WAV.BatchSizes())
 	}
@@ -1095,10 +1095,10 @@ func (w *World) Scrape() *obs.Registry {
 		if name == "" || w.deadBrokers[name] {
 			continue
 		}
-		r.AddCounterSet(obs.Labels{Broker: name}, s.Counters())
+		s.ScrapeInto(r, obs.Labels{Broker: name})
 	}
 	for _, v := range w.vms {
-		r.AddCounterSetPrefix("vm.", obs.Labels{Host: v.Host().Name()}, v.Counters())
+		v.ScrapeInto(r, obs.Labels{Host: v.Host().Name()})
 	}
 	if w.vpcMgr != nil {
 		w.vpcMgr.ScrapeInto(r)

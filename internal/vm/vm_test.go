@@ -9,6 +9,7 @@ import (
 	"wavnet/internal/core"
 	"wavnet/internal/nat"
 	"wavnet/internal/netsim"
+	"wavnet/internal/obs"
 	"wavnet/internal/rendezvous"
 	"wavnet/internal/sim"
 )
@@ -135,18 +136,18 @@ func TestMigrationMovesVMAndPreservesConnectivity(t *testing.T) {
 	// Host2 is nearer host1 (8+12? hub spokes: h2->h0 = 12+5=17ms,
 	// h2->h1 = 12+8=20ms)... just require both pings sane.
 	_ = after
-	// The uniform counter export agrees with the report.
-	c := v.Counters()
-	if c.Get("migrations") != 1 || c.Get("aborts") != 0 {
+	// The counter export agrees with the report.
+	c := scrapeVM(v)
+	if c.get("migrations") != 1 || c.get("aborts") != 0 {
 		t.Fatalf("counters %s: want migrations=1 aborts=0", c)
 	}
-	if c.Get("rounds") != uint64(rep.Rounds) {
-		t.Fatalf("counters rounds=%d, report says %d", c.Get("rounds"), rep.Rounds)
+	if c.get("rounds") != uint64(rep.Rounds) {
+		t.Fatalf("counters rounds=%d, report says %d", c.get("rounds"), rep.Rounds)
 	}
-	if c.Get("pages_copied") < uint64(64<<20/4096) {
-		t.Fatalf("counters pages_copied=%d < image pages", c.Get("pages_copied"))
+	if c.get("pages_copied") < uint64(64<<20/4096) {
+		t.Fatalf("counters pages_copied=%d < image pages", c.get("pages_copied"))
 	}
-	if c.Get("downtime_us") == 0 {
+	if c.get("downtime_us") == 0 {
 		t.Fatal("counters downtime_us=0 after a stop-and-copy")
 	}
 }
@@ -309,8 +310,8 @@ func TestMigrationAbortsCleanlyWhenDestinationUnreachable(t *testing.T) {
 	if !v.Running() {
 		t.Fatal("VM not running at the source after the abort")
 	}
-	c := v.Counters()
-	if c.Get("aborts") != 1 || c.Get("migrations") != 0 {
+	c := scrapeVM(v)
+	if c.get("aborts") != 1 || c.get("migrations") != 0 {
 		t.Fatalf("counters %s: want aborts=1 migrations=0", c)
 	}
 	if len(v.Migrations) != 0 {
@@ -351,4 +352,20 @@ func TestPauseResume(t *testing.T) {
 	if afterResume != nil {
 		t.Fatalf("resumed VM unreachable: %v", afterResume)
 	}
+}
+
+// vmScrape is one VM's counter export, read back by name.
+type vmScrape struct{ *obs.Registry }
+
+// scrapeVM exports v's counters into a fresh registry.
+func scrapeVM(v *VM) vmScrape {
+	r := obs.NewRegistry()
+	v.ScrapeInto(r, obs.Labels{})
+	return vmScrape{r}
+}
+
+// get reads one "vm."-prefixed counter (0 when absent).
+func (c vmScrape) get(name string) uint64 {
+	n, _ := c.CounterValue("vm."+name, obs.Labels{})
+	return n
 }

@@ -17,7 +17,6 @@ import (
 	"wavnet/internal/core"
 	"wavnet/internal/ether"
 	"wavnet/internal/ipstack"
-	"wavnet/internal/metrics"
 	"wavnet/internal/netsim"
 	"wavnet/internal/obs"
 	"wavnet/internal/placement"
@@ -69,12 +68,6 @@ func (mg *Manager) scheduler() *placement.Scheduler {
 		mg.sched = placement.New(placement.Config{})
 	}
 	return mg.sched
-}
-
-// PlacementCounters exports the placement scheduler's decision
-// statistics (placements, locality-core hits, broker filtering).
-func (mg *Manager) PlacementCounters() *metrics.CounterSet {
-	return mg.scheduler().Counters()
 }
 
 // vmRecByName resolves a managed VM record by name. Tenants are
@@ -330,9 +323,7 @@ func (mg *Manager) ScrapeInto(r *obs.Registry) {
 		sort.Strings(names)
 		for _, name := range names {
 			rec := ts.vms[name]
-			r.AddCounterSetPrefix("vm.",
-				obs.Labels{Tenant: t, Net: rec.spec.Network, Host: rec.host},
-				rec.vm.Counters())
+			rec.vm.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network, Host: rec.host})
 		}
 		svcNames := make([]string, 0, len(ts.services))
 		for name := range ts.services {
@@ -344,13 +335,11 @@ func (mg *Manager) ScrapeInto(r *obs.Registry) {
 			if rec.svc == nil {
 				continue
 			}
-			r.AddCounterSetPrefix("service."+name+".",
-				obs.Labels{Tenant: t, Net: rec.spec.Network},
-				rec.svc.Counters())
+			rec.svc.ScrapeInto(r, obs.Labels{Tenant: t, Net: rec.spec.Network})
 		}
 	}
 	if mg.sched != nil {
-		r.AddCounterSetPrefix("placement.", obs.Labels{}, mg.sched.Counters())
+		mg.sched.ScrapeInto(r, obs.Labels{})
 	}
 }
 

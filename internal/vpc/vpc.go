@@ -136,7 +136,6 @@ type Network struct {
 	members map[string]*Member
 	order   []string // admission order; order[0] is the anchor
 	dhcpSrv *dhcp.Server
-	nextIP  netsim.IP // static-addressing cursor
 	// svcPool is the parsed service VIP carve-out (zero when none).
 	svcPool CIDR
 	hasPool bool
@@ -318,7 +317,6 @@ func (mg *Manager) Create(name, cidr string, cfg NetworkConfig) (*Network, error
 		Default:  cfg.Default,
 		cfg:      cfg,
 		members:  make(map[string]*Member),
-		nextIP:   prefix.Base + 2,
 		reserved: make(map[netsim.IP]bool),
 		svcPool:  pool,
 		hasPool:  hasPool,
@@ -562,15 +560,11 @@ func (n *Network) address(p *sim.Proc, m *Member) error {
 	m.vif = vif
 	stackName := fmt.Sprintf("%s-%s", h.Name(), n.Name)
 	if n.cfg.StaticAddressing {
-		for n.reserved[n.nextIP] || n.inServicePool(n.nextIP) {
-			n.nextIP++
-		}
-		ip := n.nextIP
-		if ip >= n.CIDR.Broadcast() {
+		ip, ok := n.freeStaticIP()
+		if !ok {
 			h.DetachVIF(vif)
 			return ErrPoolExhausted
 		}
-		n.nextIP++
 		m.Stack = ipstack.New(h.Phys().Engine(), stackName, vif, h.NewMAC(), ip,
 			ipstack.Config{MTU: h.SegmentMTU(n.VNI)})
 		m.IP = ip
@@ -593,6 +587,22 @@ func (n *Network) address(p *sim.Proc, m *Member) error {
 	}
 	m.IP = ip
 	return nil
+}
+
+// freeStaticIP picks a static member address: the lowest one past the
+// gateway that no member holds, no VM reservation pins and the service
+// pool does not cover. Evicted members' addresses are reused.
+func (n *Network) freeStaticIP() (netsim.IP, bool) {
+	held := make(map[netsim.IP]bool, len(n.members))
+	for _, m := range n.members {
+		held[m.IP] = true
+	}
+	for ip := n.GatewayIP() + 1; ip < n.CIDR.Broadcast(); ip++ {
+		if !held[ip] && !n.reserved[ip] && !n.inServicePool(ip) {
+			return ip, true
+		}
+	}
+	return 0, false
 }
 
 // Evict removes a member from its network: the lease is released, the

@@ -286,3 +286,40 @@ func TestEvict(t *testing.T) {
 		t.Fatalf("re-admission got %d members", len(next.Members()))
 	}
 }
+
+// TestStaticAddressReuse admits and evicts a member of a static /29
+// more times than the network has member addresses: evicted addresses
+// return to the pool, so admission never runs dry, and a re-admitted
+// member takes the lowest free address while a staying member keeps
+// its own.
+func TestStaticAddressReuse(t *testing.T) {
+	w, err := scenario.Build(4, scenario.EmulatedWANSpecs(3, 100e6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(members ...string) vpc.TenantSpec {
+		return vpc.TenantSpec{
+			Tenant: "acme",
+			Networks: []vpc.NetworkSpec{{
+				Name: "tiny", CIDR: "10.7.0.0/29", StaticAddressing: true,
+				Members: members,
+			}},
+		}
+	}
+	// A /29 leaves five member addresses past the gateway.
+	for round := 0; round < 8; round++ {
+		if _, err := w.ApplySync(spec("pc00", "pc01", "pc02")); err != nil {
+			t.Fatalf("round %d: admit: %v", round, err)
+		}
+		n, _ := w.VPC().Get("tiny")
+		m1, _ := n.Member("pc01")
+		m2, _ := n.Member("pc02")
+		if m1.IP.String() != "10.7.0.2" || m2.IP.String() != "10.7.0.3" {
+			t.Fatalf("round %d: pc01=%s pc02=%s, want 10.7.0.2 (reused) and 10.7.0.3 (kept)",
+				round, m1.IP, m2.IP)
+		}
+		if _, err := w.ApplySync(spec("pc00", "pc02")); err != nil {
+			t.Fatalf("round %d: evict: %v", round, err)
+		}
+	}
+}
