@@ -14,7 +14,7 @@ import (
 // with and without the VNI tag, to show multi-tenancy costs ~nothing.
 // They drive the scratch-reuse forms the forwarding path uses
 // (AppendVNIFrame into a reused buffer, UnmarshalVNIFrameInto a
-// caller-owned frame, the COW tables) and are pinned at 0 allocs/op by
+// caller-owned frame, the VNI tables) and are pinned at 0 allocs/op by
 // the alloc-budget CI job:
 //
 //	go test ./internal/core -bench='Forward|Encap' -benchmem

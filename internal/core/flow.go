@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync/atomic"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -15,22 +14,10 @@ import (
 //
 // The table is fixed-size and preallocated: one cache-friendly slot
 // array indexed by a mixed hash of the packed flow key, probed linearly
-// over a bounded window. All fields are accessed with atomic ops only —
-// no locks, no allocation, nothing variable-cost — so the encap/decap/
-// drop sites can update it inline without disturbing the ALLOC_BUDGET
-// gate, and scrapers may read concurrently from test goroutines while
-// the simulation forwards.
-//
-// Concurrency model (the same split as ether.MACTable's fast path): the
-// sim event loop is the only writer — forwarding, drop attribution and
-// the eviction sweep all run there — while readers are arbitrary
-// goroutines. Counter updates are plain atomic adds; the only races
-// that would matter are a slot's identity changing under a reader
-// (evict + reinsert), so each slot carries a seqlock generation word:
-// the writer makes it odd around any key change, and readers retry when
-// the generation moved or was odd. Stats reads between generations may
-// be minutely torn (bytes updated, frames not yet) — fine for
-// telemetry, never for identity.
+// over a bounded window. Nothing on the update path allocates or does
+// variable-cost work, so the encap/decap/drop sites can update it
+// inline without disturbing the ALLOC_BUDGET gate. Like all world
+// state, it is touched only on the sim event loop (see package sim).
 //
 // Eviction is swept off the fast path on a self-arming sim-time timer:
 // flows idle past Config.FlowIdle are emitted to the configured
@@ -80,25 +67,11 @@ func macBits(m ether.MAC) uint64 {
 		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
-func macOf(w uint64) ether.MAC {
-	return ether.MAC{byte(w >> 40), byte(w >> 32), byte(w >> 24),
-		byte(w >> 16), byte(w >> 8), byte(w)}
-}
-
-// pack folds the key into four words, the slot's stored identity.
+// pack folds the key into the four words the slot hash mixes.
 func (k *FlowKey) pack() (k0, k1, k2, k3 uint64) {
 	return uint64(k.VNI)<<32 | uint64(k.Proto),
 		macBits(k.Src), macBits(k.Dst),
 		uint64(k.SrcIP)<<32 | uint64(k.DstIP)
-}
-
-func (k *FlowKey) unpack(k0, k1, k2, k3 uint64) {
-	k.VNI = uint32(k0 >> 32)
-	k.Proto = uint16(k0)
-	k.Src = macOf(k1)
-	k.Dst = macOf(k2)
-	k.SrcIP = netsim.IP(k3 >> 32)
-	k.DstIP = netsim.IP(k3)
 }
 
 // mix64 is the 64-bit finalizer from MurmurHash3: full avalanche over
@@ -112,16 +85,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// flowSlot is one table entry. gen is the seqlock; the key words and
-// live flag only change while it is odd.
+// flowSlot is one table entry; st.Key is its identity while live.
 type flowSlot struct {
-	gen            atomic.Uint64
-	live           atomic.Uint64
-	k0, k1, k2, k3 atomic.Uint64
-
-	bytes, frames atomic.Uint64
-	drops         [obs.FlowDropReasons]atomic.Uint64
-	first, last   atomic.Int64
+	live bool
+	st   FlowStat
 }
 
 // FlowStat is one flow's accounted state, copied out of the table.
@@ -164,14 +131,14 @@ type FlowTable struct {
 	slots []flowSlot
 	mask  uint64
 
-	active    atomic.Int64
-	overflows atomic.Uint64
-	evictions atomic.Uint64
+	active    int
+	overflows uint64
+	evictions uint64
 
 	// dropTotals aggregates drops by reason across every flow, including
 	// shed and evicted ones, so scrapers and alert rules read one counter
 	// per reason instead of summing a snapshot.
-	dropTotals [obs.FlowDropReasons]atomic.Uint64
+	dropTotals [obs.FlowDropReasons]uint64
 }
 
 // NewFlowTable preallocates a table of at least the given slot count
@@ -190,151 +157,95 @@ func NewFlowTable(slots int) *FlowTable {
 // find returns the live slot for k, inserting into a free slot within
 // the probe window when absent. nil means the window is saturated
 // (counted as an overflow; the sample is shed, never the latency).
-// Writer-side only: must run on the sim event loop.
 func (ft *FlowTable) find(k *FlowKey, now sim.Time) *flowSlot {
 	k0, k1, k2, k3 := k.pack()
 	idx := mix64(k0 ^ mix64(k1^mix64(k2^mix64(k3))))
 	var free *flowSlot
 	for i := uint64(0); i < flowProbeLimit; i++ {
 		s := &ft.slots[(idx+i)&ft.mask]
-		if s.live.Load() == 0 {
+		if !s.live {
 			if free == nil {
 				free = s
 			}
 			continue
 		}
-		if s.k0.Load() == k0 && s.k1.Load() == k1 && s.k2.Load() == k2 && s.k3.Load() == k3 {
+		if s.st.Key == *k {
 			return s
 		}
 	}
 	if free == nil {
-		ft.overflows.Add(1)
+		ft.overflows++
 		return nil
 	}
-	free.gen.Add(1) // odd: identity changing
-	free.k0.Store(k0)
-	free.k1.Store(k1)
-	free.k2.Store(k2)
-	free.k3.Store(k3)
-	free.bytes.Store(0)
-	free.frames.Store(0)
-	for i := range free.drops {
-		free.drops[i].Store(0)
-	}
-	free.first.Store(int64(now))
-	free.last.Store(int64(now))
-	free.live.Store(1)
-	free.gen.Add(1) // even: slot readable again
-	ft.active.Add(1)
+	*free = flowSlot{live: true, st: FlowStat{Key: *k, First: now, Last: now}}
+	ft.active++
 	return free
 }
 
-// Add accounts one frame of the flow (writer-side).
+// Add accounts one frame of the flow.
 func (ft *FlowTable) Add(k *FlowKey, now sim.Time, bytes uint64) {
 	s := ft.find(k, now)
 	if s == nil {
 		return
 	}
-	s.bytes.Add(bytes)
-	s.frames.Add(1)
-	s.last.Store(int64(now))
+	s.st.Bytes += bytes
+	s.st.Frames++
+	s.st.Last = now
 }
 
-// Drop accounts one dropped frame of the flow by reason (writer-side).
+// Drop accounts one dropped frame of the flow by reason.
 func (ft *FlowTable) Drop(k *FlowKey, now sim.Time, reason obs.FlowDropReason) {
-	ft.dropTotals[reason].Add(1)
+	ft.dropTotals[reason]++
 	s := ft.find(k, now)
 	if s == nil {
 		return
 	}
-	s.drops[reason].Add(1)
-	s.last.Store(int64(now))
+	s.st.Drops[reason]++
+	s.st.Last = now
 }
 
 // sweep evicts flows whose last activity is at least idle old, calling
 // emit with each evicted flow's final state, and reports how many stay
-// live. Writer-side: runs on the sim event loop, off the fast path.
+// live. Runs off the fast path.
 func (ft *FlowTable) sweep(now sim.Time, idle sim.Duration, emit func(FlowStat)) int {
 	for i := range ft.slots {
 		s := &ft.slots[i]
-		if s.live.Load() == 0 {
+		if !s.live || now.Sub(s.st.Last) < idle {
 			continue
 		}
-		if now.Sub(sim.Time(s.last.Load())) < idle {
-			continue
-		}
-		st := s.stat()
-		s.gen.Add(1)
-		s.live.Store(0)
-		s.gen.Add(1)
-		ft.active.Add(-1)
-		ft.evictions.Add(1)
+		s.live = false
+		ft.active--
+		ft.evictions++
 		if emit != nil {
-			emit(st)
+			emit(s.st)
 		}
 	}
-	return int(ft.active.Load())
+	return ft.active
 }
 
-// stat copies the slot (writer-side; no seqlock dance needed).
-func (s *flowSlot) stat() FlowStat {
-	var st FlowStat
-	st.Key.unpack(s.k0.Load(), s.k1.Load(), s.k2.Load(), s.k3.Load())
-	st.Bytes = s.bytes.Load()
-	st.Frames = s.frames.Load()
-	for i := range st.Drops {
-		st.Drops[i] = s.drops[i].Load()
-	}
-	st.First = sim.Time(s.first.Load())
-	st.Last = sim.Time(s.last.Load())
-	return st
-}
-
-// Snapshot copies the live flows out of the table. Safe to call from
-// any goroutine while the simulation forwards: each slot is read under
-// its seqlock generation and skipped after a few conflicting retries
-// (the flow shows up in the next scrape).
+// Snapshot copies the live flows out of the table in slot order.
 func (ft *FlowTable) Snapshot() []FlowStat {
-	out := make([]FlowStat, 0, ft.active.Load())
+	out := make([]FlowStat, 0, ft.active)
 	for i := range ft.slots {
-		s := &ft.slots[i]
-		for attempt := 0; attempt < 4; attempt++ {
-			g := s.gen.Load()
-			if g&1 != 0 {
-				continue
-			}
-			if s.live.Load() == 0 {
-				break
-			}
-			st := s.stat()
-			if s.gen.Load() != g {
-				continue
-			}
-			out = append(out, st)
-			break
+		if ft.slots[i].live {
+			out = append(out, ft.slots[i].st)
 		}
 	}
 	return out
 }
 
 // Active reports the live flow count.
-func (ft *FlowTable) Active() int { return int(ft.active.Load()) }
+func (ft *FlowTable) Active() int { return ft.active }
 
 // Overflows reports samples shed because the probe window was full.
-func (ft *FlowTable) Overflows() uint64 { return ft.overflows.Load() }
+func (ft *FlowTable) Overflows() uint64 { return ft.overflows }
 
 // Evictions reports flows swept out of the table.
-func (ft *FlowTable) Evictions() uint64 { return ft.evictions.Load() }
+func (ft *FlowTable) Evictions() uint64 { return ft.evictions }
 
 // DropTotals reports the table-wide drop counts by reason (survives
 // eviction and overflow shedding, unlike per-flow snapshots).
-func (ft *FlowTable) DropTotals() [obs.FlowDropReasons]uint64 {
-	var out [obs.FlowDropReasons]uint64
-	for i := range out {
-		out[i] = ft.dropTotals[i].Load()
-	}
-	return out
-}
+func (ft *FlowTable) DropTotals() [obs.FlowDropReasons]uint64 { return ft.dropTotals }
 
 // ---- host integration ----
 
@@ -408,8 +319,7 @@ func (h *Host) DrainFlows() {
 // and a reason; the host unwraps a relay envelope if present and walks
 // the encapsulated frame image — single, or every entry of a batch —
 // charging each frame's flow. Non-frame traffic (control, pulses,
-// punches) is ignored. Runs on the sim event loop via the drop hook,
-// so the single-writer invariant holds.
+// punches) is ignored. Runs on the sim event loop via the drop hook.
 func (h *Host) AccountWireDrop(payload []byte, reason obs.FlowDropReason) {
 	if len(payload) == 0 {
 		return

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
 	"time"
 
@@ -48,19 +47,6 @@ func TestFlowKeyOf(t *testing.T) {
 	flowKeyOf(&k, 7, other)
 	if k.SrcIP != 0 || k.DstIP != 0 || k.Proto != 0x88cc {
 		t.Fatalf("ethertype key = %+v", k)
-	}
-}
-
-func TestFlowKeyPackRoundTrip(t *testing.T) {
-	in := FlowKey{
-		VNI: 0xdeadbeef, Src: ether.SeqMAC(250), Dst: ether.Broadcast,
-		SrcIP: netsim.MustParseIP("203.0.113.9"), DstIP: netsim.MustParseIP("198.51.100.200"),
-		Proto: 0x0806,
-	}
-	var out FlowKey
-	out.unpack(in.pack())
-	if in != out {
-		t.Fatalf("pack/unpack: %+v != %+v", in, out)
 	}
 }
 
@@ -142,49 +128,35 @@ func TestFlowTableOverflowShedsSamples(t *testing.T) {
 	}
 }
 
-// TestFlowRaceScrapeVsForwarding drives writer-side accounting from one
-// goroutine (standing in for the sim event loop) while scrapers
-// snapshot concurrently — the seqlock contract the race job checks.
-func TestFlowRaceScrapeVsForwarding(t *testing.T) {
-	ft := NewFlowTable(128)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for _, st := range ft.Snapshot() {
-					if st.Frames == 0 && st.Bytes != 0 {
-						// Torn stats are allowed, an impossible key is not:
-						// Frames is bumped with Bytes, so a populated stat
-						// with bytes but a zero key would mean identity tore.
-						_ = st
-					}
-				}
-				_ = ft.Active()
-			}
-		}()
+// TestFlowTableEvictThenReuseSlot checks that a slot freed by the
+// sweep is taken over by a new key: the snapshot shows only the new
+// flow, with fresh counters, while the table-wide drop totals keep the
+// evicted flow's drops.
+func TestFlowTableEvictThenReuseSlot(t *testing.T) {
+	ft := NewFlowTable(1) // one slot: the new key must land where the old one was
+	old := FlowKey{VNI: 1, Src: ether.SeqMAC(1), Dst: ether.SeqMAC(2), Proto: 6}
+	ft.Add(&old, 10, 100)
+	ft.Drop(&old, 20, obs.FlowDropQuota)
+	if left := ft.sweep(sim.Time(sim.Second), 0, nil); left != 0 {
+		t.Fatalf("live after sweep = %d, want 0", left)
 	}
-	k := FlowKey{Src: ether.SeqMAC(9), Dst: ether.SeqMAC(10)}
-	for i := 0; i < 50000; i++ {
-		k.VNI = uint32(i % 200)
-		ft.Add(&k, sim.Time(i), 64)
-		if i%100 == 0 {
-			k2 := k
-			ft.Drop(&k2, sim.Time(i), obs.FlowDropCrossVNI)
-		}
-		if i%5000 == 4999 {
-			ft.sweep(sim.Time(i), 0, nil)
-		}
+
+	fresh := FlowKey{VNI: 2, Src: ether.SeqMAC(3), Dst: ether.SeqMAC(4), Proto: 17}
+	ft.Add(&fresh, 50, 7)
+	snap := ft.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("snapshot = %+v, want only the new flow", snap)
 	}
-	close(stop)
-	wg.Wait()
+	st := snap[0]
+	if st.Key != fresh || st.First != 50 || st.Last != 50 || st.Bytes != 7 || st.Frames != 1 || st.DropTotal() != 0 {
+		t.Fatalf("reused slot = %+v, want a fresh stat for %+v", st, fresh)
+	}
+	if got := ft.DropTotals()[obs.FlowDropQuota]; got != 1 {
+		t.Fatalf("quota drop total = %d, want 1 kept across eviction", got)
+	}
+	if ft.Active() != 1 || ft.Evictions() != 1 {
+		t.Fatalf("active=%d evictions=%d, want 1/1", ft.Active(), ft.Evictions())
+	}
 }
 
 // TestHostFlowAccounting runs two hosts over a punched tunnel and
@@ -243,34 +215,42 @@ func TestHostFlowAccounting(t *testing.T) {
 	}
 }
 
-func TestAccountWireDropBatchAndRelay(t *testing.T) {
+// wireDropHost builds a lone host for feeding AccountWireDrop directly.
+func wireDropHost(tb testing.TB) *Host {
+	tb.Helper()
 	eng := sim.NewEngine(1)
 	nw := netsim.New(eng)
 	site := nw.NewSite("s")
 	phys := nw.NewPublicHost("p", site, netsim.MustParseIP("9.0.0.1"), 0, 0)
 	h, err := NewHost(phys, "h", Config{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return h
+}
 
+// wireDropPayloads returns the three payload shapes the drop hook sees:
+// a two-frame batch behind a relay envelope, a single VNI-tagged frame
+// with no envelope, and a pulse (non-frame traffic).
+func wireDropPayloads() (relayedBatch, single, pulse []byte) {
 	ip1, ip2 := netsim.MustParseIP("10.0.0.1"), netsim.MustParseIP("10.0.0.2")
 	f := ipv4Frame(ether.SeqMAC(1), ether.SeqMAC(2), 17, ip1, ip2, 60)
 	const vni = 9
+	relayedBatch = make([]byte, rendezvous.RelayHeaderLen+batchHeaderLen, 512)
+	relayedBatch[0] = rendezvous.RelayMagic
+	relayedBatch[rendezvous.RelayHeaderLen] = paFrameBatch
+	relayedBatch = appendBatchFrame(relayedBatch, vni, f)
+	relayedBatch = appendBatchFrame(relayedBatch, vni, f)
+	return relayedBatch, AppendVNIFrame(nil, vni, f), []byte{paPulse, 0}
+}
 
-	// Batched payload with two frames, behind a relay envelope.
-	buf := make([]byte, rendezvous.RelayHeaderLen+batchHeaderLen, 512)
-	buf[0] = rendezvous.RelayMagic
-	buf[rendezvous.RelayHeaderLen] = paFrameBatch
-	buf = appendBatchFrame(buf, vni, f)
-	buf = appendBatchFrame(buf, vni, f)
-	h.AccountWireDrop(buf, obs.FlowDropPartition)
-
-	// Single-frame payload, no envelope.
-	single := AppendVNIFrame(nil, vni, f)
+func TestAccountWireDropBatchAndRelay(t *testing.T) {
+	h := wireDropHost(t)
+	relayedBatch, single, pulse := wireDropPayloads()
+	h.AccountWireDrop(relayedBatch, obs.FlowDropPartition)
 	h.AccountWireDrop(single, obs.FlowDropWANLoss)
-
 	// Non-frame traffic must be ignored.
-	h.AccountWireDrop([]byte{paPulse, 0}, obs.FlowDropWANLoss)
+	h.AccountWireDrop(pulse, obs.FlowDropWANLoss)
 
 	snap := h.Flows().Snapshot()
 	if len(snap) != 1 {
@@ -283,6 +263,23 @@ func TestAccountWireDropBatchAndRelay(t *testing.T) {
 	if st.Frames != 0 {
 		t.Fatalf("wire drops must not count as forwarded frames: %+v", st)
 	}
+}
+
+// FuzzAccountWireDrop feeds the drop-hook decoder arbitrary bytes: it
+// must never panic, and the flow table must never claim more live flows
+// than it has slots.
+func FuzzAccountWireDrop(f *testing.F) {
+	relayedBatch, single, pulse := wireDropPayloads()
+	f.Add(relayedBatch, uint8(obs.FlowDropPartition))
+	f.Add(single, uint8(obs.FlowDropWANLoss))
+	f.Add(pulse, uint8(obs.FlowDropWANLoss))
+	h := wireDropHost(f)
+	f.Fuzz(func(t *testing.T, payload []byte, reason uint8) {
+		h.AccountWireDrop(payload, obs.FlowDropReason(reason)%obs.FlowDropReasons)
+		if n, size := h.Flows().Active(), len(h.Flows().slots); n > size {
+			t.Fatalf("%d live flows in a %d-slot table", n, size)
+		}
+	})
 }
 
 func BenchmarkFlowTableAdd(b *testing.B) {

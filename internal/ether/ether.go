@@ -9,8 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
@@ -159,25 +157,17 @@ func GratuitousARP(mac MAC, ip netsim.IP) *Frame {
 
 // MACTable is a learning table with entry aging, generic over the port
 // type so both the software bridge and the WAV-Switch can use it.
-//
-// It is copy-on-write: the entry map is immutable once published, so
-// forwarding lookups and refresh-learns of known MACs are lock-free
-// atomic reads/writes and never contend with structural changes. Only
-// mutations that change the key set (a new MAC, Forget, ForgetPort)
-// take the mutex, rebuild the map — sweeping aged-out entries while
-// they are at it — and publish the copy. Lookup is a pure read: a stale
-// entry reports a miss and is reclaimed by the next rebuild or an
-// explicit Sweep, never on the fast path.
+// Aging needs no timer: Lookup reports an entry older than AgeTime as a
+// miss and deletes it.
 type MACTable[P comparable] struct {
 	eng     *sim.Engine
 	AgeTime sim.Duration
-	mu      sync.Mutex // serializes map rebuilds only
-	entries atomic.Pointer[map[MAC]*macEntry[P]]
+	entries map[MAC]macEntry[P]
 }
 
 type macEntry[P comparable] struct {
-	port atomic.Pointer[P]
-	seen atomic.Int64 // sim.Time of the last Learn
+	port P
+	seen sim.Time // time of the last Learn
 }
 
 // NewMACTable creates a table; ageTime <= 0 selects 300 s (the Linux
@@ -186,102 +176,40 @@ func NewMACTable[P comparable](eng *sim.Engine, ageTime sim.Duration) *MACTable[
 	if ageTime <= 0 {
 		ageTime = 300 * sim.Second
 	}
-	t := &MACTable[P]{eng: eng, AgeTime: ageTime}
-	m := make(map[MAC]*macEntry[P])
-	t.entries.Store(&m)
-	return t
+	return &MACTable[P]{eng: eng, AgeTime: ageTime, entries: make(map[MAC]macEntry[P])}
 }
 
-// Learn records that mac was seen on port. Refreshing a known MAC is
-// the data-path case and is allocation-free and lock-free; the first
-// sighting of a MAC rebuilds the map under the mutex.
+// Learn records that mac was seen on port. Refreshing a known MAC
+// overwrites its entry in place and allocates nothing.
 func (t *MACTable[P]) Learn(mac MAC, port P) {
 	if mac.IsMulticast() {
 		return
 	}
-	if e, ok := (*t.entries.Load())[mac]; ok {
-		if *e.port.Load() != port {
-			p := port
-			e.port.Store(&p)
-		}
-		e.seen.Store(int64(t.eng.Now()))
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if e, ok := (*t.entries.Load())[mac]; ok { // raced with another learner
-		p := port
-		e.port.Store(&p)
-		e.seen.Store(int64(t.eng.Now()))
-		return
-	}
-	e := &macEntry[P]{}
-	p := port
-	e.port.Store(&p)
-	e.seen.Store(int64(t.eng.Now()))
-	t.rebuild(func(m map[MAC]*macEntry[P]) { m[mac] = e })
-}
-
-// rebuild copies the published map, dropping aged-out entries along the
-// way, applies mutate to the copy, and publishes it. Caller holds mu.
-func (t *MACTable[P]) rebuild(mutate func(map[MAC]*macEntry[P])) {
-	old := *t.entries.Load()
-	now := t.eng.Now()
-	m := make(map[MAC]*macEntry[P], len(old)+1)
-	for mac, e := range old {
-		if now.Sub(sim.Time(e.seen.Load())) > t.AgeTime {
-			continue
-		}
-		m[mac] = e
-	}
-	if mutate != nil {
-		mutate(m)
-	}
-	t.entries.Store(&m)
+	t.entries[mac] = macEntry[P]{port: port, seen: t.eng.Now()}
 }
 
 // Lookup returns the port mac was last seen on, if the entry is fresh.
-// It is a pure lock-free read safe to call concurrently with Learn.
+// An aged-out entry reports a miss and is deleted.
 func (t *MACTable[P]) Lookup(mac MAC) (P, bool) {
-	e, ok := (*t.entries.Load())[mac]
-	if !ok || t.eng.Now().Sub(sim.Time(e.seen.Load())) > t.AgeTime {
+	e, ok := t.entries[mac]
+	if ok && t.eng.Now().Sub(e.seen) > t.AgeTime {
+		delete(t.entries, mac)
 		var zero P
 		return zero, false
 	}
-	return *e.port.Load(), true
-}
-
-// Forget drops the entry for mac.
-func (t *MACTable[P]) Forget(mac MAC) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := (*t.entries.Load())[mac]; !ok {
-		return
-	}
-	t.rebuild(func(m map[MAC]*macEntry[P]) { delete(m, mac) })
+	return e.port, ok
 }
 
 // ForgetPort drops every entry pointing at port (used when a tunnel or
 // bridge port goes away).
 func (t *MACTable[P]) ForgetPort(port P) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rebuild(func(m map[MAC]*macEntry[P]) {
-		for mac, e := range m {
-			if *e.port.Load() == port {
-				delete(m, mac)
-			}
+	for mac, e := range t.entries {
+		if e.port == port {
+			delete(t.entries, mac)
 		}
-	})
+	}
 }
 
-// Sweep reclaims aged-out entries off the fast path.
-func (t *MACTable[P]) Sweep() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.rebuild(nil)
-}
-
-// Len reports the number of entries still resident, fresh or not
-// (aged-out entries linger until the next rebuild or Sweep).
-func (t *MACTable[P]) Len() int { return len(*t.entries.Load()) }
+// Len reports the number of resident entries. An aged-out entry stays
+// resident until a Lookup of its MAC deletes it.
+func (t *MACTable[P]) Len() int { return len(t.entries) }

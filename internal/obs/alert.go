@@ -3,7 +3,6 @@ package obs
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"wavnet/internal/sim"
 )
@@ -52,10 +51,8 @@ type alertState struct {
 // AlertEngine evaluates a fixed rule set against successive registry
 // snapshots, driving each rule through Inactive → Pending → Firing →
 // Resolved and recording the firing window as a span ("alert.<name>")
-// on the world trace. Safe for concurrent use; snapshots are expected
-// in sim-time order.
+// on the world trace. Snapshots are expected in sim-time order.
 type AlertEngine struct {
-	mu     sync.Mutex
 	trace  *Trace
 	states []*alertState
 	prev   *Registry
@@ -75,15 +72,11 @@ func NewAlertEngine(trace *Trace, rules ...AlertRule) *AlertEngine {
 
 // AddRule appends a rule to a running engine (starts Inactive).
 func (e *AlertEngine) AddRule(r AlertRule) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.states = append(e.states, &alertState{rule: r})
 }
 
 // Rules returns the catalogue in registration order.
 func (e *AlertEngine) Rules() []AlertRule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	out := make([]AlertRule, len(e.states))
 	for i, st := range e.states {
 		out[i] = st.rule
@@ -116,8 +109,6 @@ func matchLabels(rule, have Labels) bool {
 // next Eval's rate rules, so callers must hand over a registry they
 // will not keep mutating (World.Scrape builds a fresh one per call).
 func (e *AlertEngine) Eval(now sim.Time, snap *Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var view *RateView
 	if e.evals > 0 {
 		view = snap.Since(e.prev, now.Sub(e.prevAt))
@@ -145,7 +136,7 @@ func (e *AlertEngine) score(rule AlertRule, snap *Registry, view *RateView) (flo
 	}
 	var sum float64
 	var worst float64
-	for _, s := range src.all() {
+	for _, s := range src.order {
 		if !matchMetric(rule.Metric, s.key.name) || !matchLabels(rule.Labels, s.key.labels) {
 			continue
 		}
@@ -208,8 +199,6 @@ func (e *AlertEngine) advance(st *alertState, now sim.Time, value float64, breac
 
 // Firing returns the names of currently firing alerts, sorted.
 func (e *AlertEngine) Firing() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var out []string
 	for _, st := range e.states {
 		if st.firing {
@@ -222,8 +211,6 @@ func (e *AlertEngine) Firing() []string {
 
 // IsFiring reports whether the named alert is currently firing.
 func (e *AlertEngine) IsFiring(name string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name && st.firing {
 			return true
@@ -234,8 +221,6 @@ func (e *AlertEngine) IsFiring(name string) bool {
 
 // Fired reports how many times the named alert transitioned to firing.
 func (e *AlertEngine) Fired(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.fired
@@ -246,8 +231,6 @@ func (e *AlertEngine) Fired(name string) uint64 {
 
 // Resolved reports how many times the named alert resolved.
 func (e *AlertEngine) Resolved(name string) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.resolved
@@ -258,8 +241,6 @@ func (e *AlertEngine) Resolved(name string) uint64 {
 
 // Value reports the named rule's value at the last Eval.
 func (e *AlertEngine) Value(name string) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for _, st := range e.states {
 		if st.rule.Name == name {
 			return st.value
@@ -272,8 +253,6 @@ func (e *AlertEngine) Value(name string) float64 {
 // per-rule fired/resolved counters plus a 0/1 firing gauge, named
 // "alert.<rule>.{fired,resolved,firing}".
 func (e *AlertEngine) ScrapeInto(r *Registry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var firing int
 	for _, st := range e.states {
 		if st.firing {

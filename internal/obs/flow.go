@@ -9,7 +9,6 @@ package obs
 import (
 	"container/heap"
 	"fmt"
-	"sync"
 
 	"wavnet/internal/ether"
 	"wavnet/internal/netsim"
@@ -101,10 +100,8 @@ func (r *FlowRecord) String() string {
 
 // FlowLog is a bounded ring of flow records. The core's eviction sweep
 // appends a record when a flow idles out of the table; scenario worlds
-// share one log across every host. Nil-safe and safe for concurrent
-// use (experiments read while the simulation appends).
+// share one log across every host. Nil-safe.
 type FlowLog struct {
-	mu      sync.Mutex
 	recs    []FlowRecord
 	next    int
 	wrapped bool
@@ -129,8 +126,6 @@ func (l *FlowLog) Append(r FlowRecord) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.total++
 	if len(l.recs) < l.limit {
 		l.recs = append(l.recs, r)
@@ -146,8 +141,6 @@ func (l *FlowLog) Records() []FlowRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.wrapped {
 		return append([]FlowRecord(nil), l.recs...)
 	}
@@ -162,8 +155,6 @@ func (l *FlowLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return len(l.recs)
 }
 
@@ -172,8 +163,6 @@ func (l *FlowLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	return l.total
 }
 
@@ -196,8 +185,7 @@ const (
 // TopK tracks the heaviest flows by byte weight in bounded space: a
 // count-min sketch estimates every key's total without storing keys,
 // and a K-entry min-heap retains the current heavy hitters. Offer is
-// O(rows + log K); Top is O(K log K). Not concurrency-safe — callers
-// build sketches from a consistent scrape.
+// O(rows + log K); Top is O(K log K).
 type TopK struct {
 	k     int
 	cm    [topkRows][topkCols]uint64

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // histBuckets is the fixed bucket count of every histogram: bucket 0
@@ -14,10 +13,9 @@ import (
 const histBuckets = 64
 
 // Histogram is a fixed log-scale (powers of two) histogram with
-// quantile accessors. Safe for concurrent use; observations are
-// non-negative float64s in whatever unit the caller picks.
+// quantile accessors. Observations are non-negative float64s in
+// whatever unit the caller picks.
 type Histogram struct {
-	mu       sync.Mutex
 	counts   [histBuckets]uint64
 	count    uint64
 	sum      float64
@@ -44,8 +42,6 @@ func (h *Histogram) Observe(v float64) {
 	if v < 0 || math.IsNaN(v) {
 		v = 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.counts[bucketOf(v)]++
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -58,30 +54,16 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
+func (h *Histogram) Count() uint64 { return h.count }
 
 // Sum reports the running total of observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
+func (h *Histogram) Sum() float64 { return h.sum }
 
 // Max reports the largest observation (0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
+func (h *Histogram) Max() float64 { return h.max }
 
 // Mean reports the arithmetic mean (0 when empty).
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -93,8 +75,6 @@ func (h *Histogram) Mean() float64 {
 // [min, max]. Log-scale buckets bound the error at a factor of two;
 // in practice interpolation lands much closer.
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -149,20 +129,8 @@ func bucketBounds(i int) (lo, hi float64) {
 	return math.Exp2(float64(i - 1)), math.Exp2(float64(i))
 }
 
-// clone deep-copies the histogram.
-func (h *Histogram) clone() *Histogram {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := &Histogram{count: h.count, sum: h.sum, min: h.min, max: h.max}
-	out.counts = h.counts
-	return out
-}
-
-// merge adds other's observations into h.
-func (h *Histogram) merge(other *Histogram) {
-	o := other.clone()
-	h.mu.Lock()
-	defer h.mu.Unlock()
+// merge adds o's observations into h.
+func (h *Histogram) merge(o *Histogram) {
 	if o.count == 0 {
 		return
 	}
@@ -184,16 +152,14 @@ func (h *Histogram) merge(other *Histogram) {
 // observed extrema cannot be subtracted, so the current min/max carry
 // over.
 func (h *Histogram) delta(prev *Histogram) *Histogram {
-	cur := h.clone()
-	p := prev.clone()
-	out := &Histogram{min: cur.min, max: cur.max}
-	for i := range cur.counts {
-		if cur.counts[i] > p.counts[i] {
-			out.counts[i] = cur.counts[i] - p.counts[i]
+	out := &Histogram{min: h.min, max: h.max}
+	for i := range h.counts {
+		if h.counts[i] > prev.counts[i] {
+			out.counts[i] = h.counts[i] - prev.counts[i]
 			out.count += out.counts[i]
 		}
 	}
-	if s := cur.sum - p.sum; s > 0 {
+	if s := h.sum - prev.sum; s > 0 {
 		out.sum = s
 	}
 	return out

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"wavnet/internal/sim"
@@ -167,70 +164,6 @@ func TestRegistryDeltaClampsResets(t *testing.T) {
 	d = cur.Delta(prev)
 	if v, _ := d.CounterValue("joins", l); v != 66 {
 		t.Fatalf("delta = %d, want 66", v)
-	}
-}
-
-// TestRegistryConcurrent hammers one registry from recorder and
-// scraper goroutines; run under -race this is the experiment-driver
-// concurrency of World.Scrape.
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			l := Labels{Host: fmt.Sprintf("pc%02d", g%4)}
-			for i := 0; i < 2000; i++ {
-				r.Counter("frames", l).Inc()
-				r.Gauge("load", l).Add(0.5)
-				r.Histogram("lat_ms", l).Observe(float64(i % 100))
-			}
-		}(g)
-	}
-	var wgScrape sync.WaitGroup
-	for s := 0; s < 4; s++ {
-		wgScrape.Add(1)
-		go func() {
-			defer wgScrape.Done()
-			for i := 0; i < 50; i++ {
-				snap := r.Snapshot()
-				_ = snap.String()
-				_, _ = json.Marshal(snap)
-				_ = snap.Delta(r)
-			}
-		}()
-	}
-	wg.Wait()
-	wgScrape.Wait()
-	if got := r.Total("frames"); got != 8*2000 {
-		t.Fatalf("frames total = %d, want %d", got, 8*2000)
-	}
-	l0 := Labels{Host: "pc00"}
-	if v, _ := r.GaugeValue("load", l0); math.Abs(v-2*2000*0.5) > 1e-9 {
-		t.Fatalf("gauge = %g, want %g", v, 2*2000*0.5)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 1; i <= 1000; i++ {
-				h.Observe(float64(i))
-				if i%100 == 0 {
-					_ = h.P95()
-					_ = h.String()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", h.Count())
 	}
 }
 

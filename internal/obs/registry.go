@@ -3,11 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind discriminates the series types a Registry holds.
@@ -33,38 +30,31 @@ func (k Kind) String() string {
 }
 
 // Counter is one monotonic series of a Registry.
-type Counter struct{ v atomic.Uint64 }
+type Counter struct{ v uint64 }
 
 // Add increments the counter.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) { c.v += n }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.v++ }
 
 // Set overwrites the counter (scrapers copy cumulative totals in).
-func (c *Counter) Set(n uint64) { c.v.Store(n) }
+func (c *Counter) Set(n uint64) { c.v = n }
 
 // Value reads the counter.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 { return c.v }
 
 // Gauge is one instantaneous-value series of a Registry.
-type Gauge struct{ bits atomic.Uint64 }
+type Gauge struct{ v float64 }
 
 // Set overwrites the gauge.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.v = v }
 
 // Add shifts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return g.v }
 
 // seriesKey identifies one series: Labels is comparable, so the pair
 // works directly as a map key.
@@ -85,10 +75,7 @@ type series struct {
 // Registry is a collection of labeled series. Lookups create series on
 // first use; asking for an existing (name, labels) pair under a
 // different kind panics — that is a wiring error, not load-time state.
-// Safe for concurrent use (experiment drivers scrape from helper
-// goroutines while the simulation records).
 type Registry struct {
-	mu    sync.Mutex
 	byKey map[seriesKey]*series
 	order []*series
 }
@@ -100,8 +87,6 @@ func NewRegistry() *Registry {
 
 // lookup finds or creates a series of the given kind.
 func (r *Registry) lookup(name string, labels Labels, kind Kind) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	key := seriesKey{name, labels}
 	if s, ok := r.byKey[key]; ok {
 		if s.kind != kind {
@@ -150,17 +135,11 @@ func (r *Registry) AddHistogram(name string, labels Labels, h *Histogram) {
 }
 
 // Len reports the number of series.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
-}
+func (r *Registry) Len() int { return len(r.order) }
 
 // CounterValue reads one labeled counter (0, false when absent).
 func (r *Registry) CounterValue(name string, labels Labels) (uint64, bool) {
-	r.mu.Lock()
 	s, ok := r.byKey[seriesKey{name, labels}]
-	r.mu.Unlock()
 	if !ok || s.kind != KindCounter {
 		return 0, false
 	}
@@ -169,9 +148,7 @@ func (r *Registry) CounterValue(name string, labels Labels) (uint64, bool) {
 
 // GaugeValue reads one labeled gauge (0, false when absent).
 func (r *Registry) GaugeValue(name string, labels Labels) (float64, bool) {
-	r.mu.Lock()
 	s, ok := r.byKey[seriesKey{name, labels}]
-	r.mu.Unlock()
 	if !ok || s.kind != KindGauge {
 		return 0, false
 	}
@@ -182,7 +159,7 @@ func (r *Registry) GaugeValue(name string, labels Labels) (float64, bool) {
 // over every host of a scrape).
 func (r *Registry) Total(name string) uint64 {
 	var sum uint64
-	for _, s := range r.all() {
+	for _, s := range r.order {
 		if s.key.name == name && s.kind == KindCounter {
 			sum += s.counter.Value()
 		}
@@ -190,21 +167,11 @@ func (r *Registry) Total(name string) uint64 {
 	return sum
 }
 
-// all snapshots the series in registration order. The order slice is
-// append-only, so the capped view stays valid without a copy.
-func (r *Registry) all() []*series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.order[:len(r.order):len(r.order)]
-}
-
 // sorted snapshots the series ordered by (name, labels) — the stable
 // render order, independent of registration order. Only renders pay
-// for the sort; aggregations walk all().
+// for the sort; aggregations walk r.order.
 func (r *Registry) sorted() []*series {
-	r.mu.Lock()
 	out := append([]*series(nil), r.order...)
-	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].key.name != out[j].key.name {
 			return out[i].key.name < out[j].key.name
@@ -225,7 +192,7 @@ func (r *Registry) Snapshot() *Registry {
 // Merge folds other into r: counters and gauges sum, histograms merge
 // bucket-wise, series absent from r are created.
 func (r *Registry) Merge(other *Registry) {
-	for _, s := range other.all() {
+	for _, s := range other.order {
 		switch s.kind {
 		case KindCounter:
 			r.Counter(s.key.name, s.key.labels).Add(s.counter.Value())
@@ -243,7 +210,7 @@ func (r *Registry) Merge(other *Registry) {
 // gauges keep their current (instantaneous) value.
 func (r *Registry) Delta(prev *Registry) *Registry {
 	out := NewRegistry()
-	for _, s := range r.all() {
+	for _, s := range r.order {
 		switch s.kind {
 		case KindCounter:
 			cur := s.counter.Value()
@@ -257,9 +224,7 @@ func (r *Registry) Delta(prev *Registry) *Registry {
 		case KindGauge:
 			out.Gauge(s.key.name, s.key.labels).Set(s.gauge.Value())
 		default:
-			prev.mu.Lock()
 			ps, ok := prev.byKey[seriesKey{s.key.name, s.key.labels}]
-			prev.mu.Unlock()
 			if ok && ps.kind == KindHistogram {
 				out.Histogram(s.key.name, s.key.labels).merge(s.hist.delta(ps.hist))
 			} else {

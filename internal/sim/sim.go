@@ -11,6 +11,13 @@
 // hands control to a process and waits for it to park or finish before
 // dispatching the next event. Determinism therefore depends only on the
 // event ordering, which is total.
+//
+// Every package's world state relies on this contract: forwarding
+// tables, flow tables, counters, traces and metrics registries are plain
+// maps and fields with no locks or atomics. Code outside the engine
+// reads them only between engine runs (after RunFor/RunUntil/Run
+// returns); the channel hand-offs between the engine and its procs
+// order every other access.
 package sim
 
 import (
