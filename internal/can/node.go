@@ -68,7 +68,7 @@ type Node struct {
 	pending map[uint64]*pendingReq
 	nextID  uint64
 
-	hbEv *sim.Event
+	hb *sim.Timer // heartbeat tick
 
 	// Stats.
 	RouteForwards uint64
@@ -89,6 +89,7 @@ func NewNode(host *netsim.Host, port uint16, cfg Config) (*Node, error) {
 		neighbors: make(map[netsim.Addr]*neighborInfo),
 		pending:   make(map[uint64]*pendingReq),
 	}
+	n.hb = sim.NewTimer(n.eng, n.heartbeat)
 	sock, err := host.BindUDP(port, n.onPacket)
 	if err != nil {
 		return nil, err
@@ -121,10 +122,7 @@ func (n *Node) Close() {
 	n.zones = nil
 	n.resources = make(map[string]*Resource)
 	n.neighbors = make(map[netsim.Addr]*neighborInfo)
-	if n.hbEv != nil {
-		n.eng.Cancel(n.hbEv)
-		n.hbEv = nil
-	}
+	n.hb.Stop()
 	n.sock.Close()
 }
 
@@ -260,10 +258,7 @@ func (n *Node) Leave() {
 	n.zones = nil
 	n.resources = make(map[string]*Resource)
 	n.neighbors = make(map[netsim.Addr]*neighborInfo)
-	if n.hbEv != nil {
-		n.eng.Cancel(n.hbEv)
-		n.hbEv = nil
-	}
+	n.hb.Stop()
 }
 
 // chooseSuccessor prefers a neighbor whose zone merges with ours into a
@@ -605,25 +600,19 @@ func (n *Node) adoptZones(zones []Zone) {
 // startHeartbeat begins the jittered hello/failure-detection loop. The
 // ±10% jitter decorrelates detectors so one neighbor claims a dead zone
 // first and its hellos (which carry the new zone set) stop the rest.
+// A running loop is re-armed, not duplicated.
 func (n *Node) startHeartbeat() {
-	if n.hbEv != nil {
-		n.eng.Cancel(n.hbEv)
+	j := 1 + (n.eng.Rand().Float64()*0.2 - 0.1)
+	n.hb.Reset(sim.Duration(float64(n.cfg.HeartbeatPeriod) * j))
+}
+
+func (n *Node) heartbeat() {
+	if !n.active {
+		return
 	}
-	var tick func()
-	schedule := func() {
-		j := 1 + (n.eng.Rand().Float64()*0.2 - 0.1)
-		d := sim.Duration(float64(n.cfg.HeartbeatPeriod) * j)
-		n.hbEv = n.eng.Schedule(d, tick)
-	}
-	tick = func() {
-		if !n.active {
-			return
-		}
-		n.sendHellos()
-		n.checkDead()
-		schedule()
-	}
-	schedule()
+	n.sendHellos()
+	n.checkDead()
+	n.startHeartbeat()
 }
 
 func (n *Node) sendHellos() {

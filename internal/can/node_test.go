@@ -205,9 +205,7 @@ func TestCrashTakeover(t *testing.T) {
 	key := victim.zones[0].Center()
 	// Simulated crash: the node stops responding entirely.
 	victim.active = false
-	if victim.hbEv != nil {
-		o.eng.Cancel(victim.hbEv)
-	}
+	victim.hb.Stop()
 	victim.sock.Close()
 
 	// Wait for failure detection (FailAfter × heartbeat + slack).

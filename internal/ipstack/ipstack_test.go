@@ -22,22 +22,32 @@ func twoStacks(seed int64, rateBps float64, delay sim.Duration) (*sim.Engine, *S
 }
 
 func TestHeaderRoundTrips(t *testing.T) {
-	ip := &ipv4Header{TTL: 64, Proto: ProtoTCP, Src: netsim.MustParseIP("1.2.3.4"), Dst: netsim.MustParseIP("5.6.7.8")}
-	h, payload, err := unmarshalIPv4(marshalIPv4(ip, []byte("data")))
-	if err != nil || h.Src != ip.Src || h.Dst != ip.Dst || h.Proto != ProtoTCP || string(payload) != "data" {
+	src, dst := netsim.MustParseIP("1.2.3.4"), netsim.MustParseIP("5.6.7.8")
+	pkt := newPacket(ProtoTCP, src, dst, 4)
+	copy(pkt[IPHeaderLen:], "data")
+	h, payload, err := unmarshalIPv4(pkt)
+	if err != nil || h.Src != src || h.Dst != dst || h.Proto != ProtoTCP || h.TTL != defaultTTL || string(payload) != "data" {
 		t.Fatalf("ipv4 round trip: %+v %q %v", h, payload, err)
 	}
-	seg := &tcpSegment{SrcPort: 80, DstPort: 8080, Seq: 42, Ack: 17, Flags: flagACK | flagPSH, Wnd: 1 << 20, Payload: []byte("xyz")}
-	got, err := unmarshalTCP(marshalTCP(seg))
+	seg := &tcpSegment{SrcPort: 80, DstPort: 8080, Seq: 42, Ack: 17, Flags: flagACK | flagPSH, Wnd: 1 << 20, NSACK: 2}
+	seg.SACK[0], seg.SACK[1] = [2]uint32{100, 200}, [2]uint32{300, 400}
+	b := make([]byte, seg.headerLen()+3)
+	copy(b[putTCP(b, seg, 3):], "xyz")
+	var got tcpSegment
+	err = unmarshalTCP(b, &got)
 	if err != nil || got.SrcPort != 80 || got.Seq != 42 || got.Ack != 17 || !got.has(flagPSH) ||
-		got.Wnd != 1<<20 || string(got.Payload) != "xyz" {
+		got.Wnd != 1<<20 || string(got.Payload) != "xyz" || got.NSACK != 2 || got.SACK[1] != [2]uint32{300, 400} {
 		t.Fatalf("tcp round trip: %+v %v", got, err)
 	}
-	u, data, err := unmarshalUDP(marshalUDP(53, 5353, []byte("q")))
+	b = make([]byte, UDPHeaderLen+1)
+	putUDP(b, 53, 5353, []byte("q"))
+	u, data, err := unmarshalUDP(b)
 	if err != nil || u.Src != 53 || u.Dst != 5353 || string(data) != "q" {
 		t.Fatalf("udp round trip: %+v %v", u, err)
 	}
-	ic, err := unmarshalICMP(marshalICMP(&icmpEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte("p")}))
+	b = make([]byte, ICMPHeaderLen+1)
+	putICMP(b, &icmpEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte("p")})
+	ic, err := unmarshalICMP(b)
 	if err != nil || ic.ID != 7 || ic.Seq != 9 || string(ic.Data) != "p" {
 		t.Fatalf("icmp round trip: %+v %v", ic, err)
 	}
@@ -45,8 +55,9 @@ func TestHeaderRoundTrips(t *testing.T) {
 
 func TestPropertyCodecsNeverPanic(t *testing.T) {
 	f := func(b []byte) bool {
+		var seg tcpSegment
 		unmarshalIPv4(b)
-		unmarshalTCP(b)
+		unmarshalTCP(b, &seg)
 		unmarshalUDP(b)
 		unmarshalICMP(b)
 		return true

@@ -49,26 +49,29 @@ type ipv4Header struct {
 
 const defaultTTL = 64
 
-func marshalIPv4(h *ipv4Header, payload []byte) []byte {
-	b := make([]byte, IPHeaderLen+len(payload))
+// newPacket returns an IPv4 packet with room for an n-byte payload and
+// its header already written; the caller fills pkt[IPHeaderLen:]. Each
+// outbound packet is built in this one buffer, headers and payload
+// together.
+func newPacket(proto uint8, src, dst netsim.IP, n int) []byte {
+	b := make([]byte, IPHeaderLen+n)
 	b[0] = 0x45
-	binary.BigEndian.PutUint16(b[2:], uint16(IPHeaderLen+len(payload)))
-	b[8] = h.TTL
-	b[9] = h.Proto
-	binary.BigEndian.PutUint32(b[12:], uint32(h.Src))
-	binary.BigEndian.PutUint32(b[16:], uint32(h.Dst))
-	copy(b[IPHeaderLen:], payload)
+	binary.BigEndian.PutUint16(b[2:], uint16(IPHeaderLen+n))
+	b[8] = defaultTTL
+	b[9] = proto
+	binary.BigEndian.PutUint32(b[12:], uint32(src))
+	binary.BigEndian.PutUint32(b[16:], uint32(dst))
 	return b
 }
 
-func unmarshalIPv4(b []byte) (*ipv4Header, []byte, error) {
+func unmarshalIPv4(b []byte) (ipv4Header, []byte, error) {
 	if len(b) < IPHeaderLen {
-		return nil, nil, errors.New("ipstack: short IPv4 packet")
+		return ipv4Header{}, nil, errors.New("ipstack: short IPv4 packet")
 	}
 	if b[0]>>4 != 4 {
-		return nil, nil, errors.New("ipstack: not IPv4")
+		return ipv4Header{}, nil, errors.New("ipstack: not IPv4")
 	}
-	h := &ipv4Header{
+	h := ipv4Header{
 		TotalLen: int(binary.BigEndian.Uint16(b[2:])),
 		TTL:      b[8],
 		Proto:    b[9],
@@ -76,7 +79,7 @@ func unmarshalIPv4(b []byte) (*ipv4Header, []byte, error) {
 		Dst:      netsim.IP(binary.BigEndian.Uint32(b[16:])),
 	}
 	if h.TotalLen < IPHeaderLen || h.TotalLen > len(b) {
-		return nil, nil, errors.New("ipstack: bad IPv4 length")
+		return ipv4Header{}, nil, errors.New("ipstack: bad IPv4 length")
 	}
 	return h, b[IPHeaderLen:h.TotalLen], nil
 }
@@ -93,20 +96,20 @@ type icmpEcho struct {
 	Data    []byte
 }
 
-func marshalICMP(m *icmpEcho) []byte {
-	b := make([]byte, ICMPHeaderLen+len(m.Data))
+// putICMP writes m into b, which must hold ICMPHeaderLen+len(m.Data)
+// bytes.
+func putICMP(b []byte, m *icmpEcho) {
 	b[0] = m.Type
 	binary.BigEndian.PutUint16(b[4:], m.ID)
 	binary.BigEndian.PutUint16(b[6:], m.Seq)
 	copy(b[ICMPHeaderLen:], m.Data)
-	return b
 }
 
-func unmarshalICMP(b []byte) (*icmpEcho, error) {
+func unmarshalICMP(b []byte) (icmpEcho, error) {
 	if len(b) < ICMPHeaderLen {
-		return nil, errors.New("ipstack: short ICMP")
+		return icmpEcho{}, errors.New("ipstack: short ICMP")
 	}
-	return &icmpEcho{
+	return icmpEcho{
 		Type: b[0],
 		ID:   binary.BigEndian.Uint16(b[4:]),
 		Seq:  binary.BigEndian.Uint16(b[6:]),
@@ -119,26 +122,26 @@ type udpHeader struct {
 	Len      int
 }
 
-func marshalUDP(src, dst uint16, payload []byte) []byte {
-	b := make([]byte, UDPHeaderLen+len(payload))
+// putUDP writes a UDP header and payload into b, which must hold
+// UDPHeaderLen+len(payload) bytes.
+func putUDP(b []byte, src, dst uint16, payload []byte) {
 	binary.BigEndian.PutUint16(b[0:], src)
 	binary.BigEndian.PutUint16(b[2:], dst)
 	binary.BigEndian.PutUint16(b[4:], uint16(UDPHeaderLen+len(payload)))
 	copy(b[UDPHeaderLen:], payload)
-	return b
 }
 
-func unmarshalUDP(b []byte) (*udpHeader, []byte, error) {
+func unmarshalUDP(b []byte) (udpHeader, []byte, error) {
 	if len(b) < UDPHeaderLen {
-		return nil, nil, errors.New("ipstack: short UDP")
+		return udpHeader{}, nil, errors.New("ipstack: short UDP")
 	}
-	h := &udpHeader{
+	h := udpHeader{
 		Src: binary.BigEndian.Uint16(b[0:]),
 		Dst: binary.BigEndian.Uint16(b[2:]),
 		Len: int(binary.BigEndian.Uint16(b[4:])),
 	}
 	if h.Len < UDPHeaderLen || h.Len > len(b) {
-		return nil, nil, errors.New("ipstack: bad UDP length")
+		return udpHeader{}, nil, errors.New("ipstack: bad UDP length")
 	}
 	return h, b[UDPHeaderLen:h.Len], nil
 }
@@ -160,71 +163,74 @@ const maxSACKBlocks = 16
 
 // tcpSegment is the decoded form of this stack's TCP header: standard
 // fields, a 32-bit advertised window in place of window scaling, and up
-// to four SACK blocks carried inline (8 bytes each, after the fixed
-// header).
+// to maxSACKBlocks SACK blocks carried inline (8 bytes each, after the
+// fixed header). The blocks live in the segment value itself, so
+// decoding into a caller's segment allocates nothing.
 type tcpSegment struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
 	Flags            uint8
 	Wnd              uint32
-	SACK             [][2]uint32
-	Payload          []byte
+	SACK             [maxSACKBlocks][2]uint32
+	NSACK            int
+	Payload          []byte // received payload; outbound bytes come from the send ring
 }
 
-func marshalTCP(s *tcpSegment) []byte {
-	ns := len(s.SACK)
-	if ns > maxSACKBlocks {
-		ns = maxSACKBlocks
-	}
-	b := make([]byte, TCPHeaderLen+8*ns+len(s.Payload))
+// headerLen is the encoded header length, SACK blocks included.
+func (s *tcpSegment) headerLen() int { return TCPHeaderLen + 8*s.NSACK }
+
+// putTCP writes s's header and SACK blocks at the front of b for a
+// payload of plen bytes, and returns the header length.
+func putTCP(b []byte, s *tcpSegment, plen int) int {
 	binary.BigEndian.PutUint16(b[0:], s.SrcPort)
 	binary.BigEndian.PutUint16(b[2:], s.DstPort)
 	binary.BigEndian.PutUint32(b[4:], s.Seq)
 	binary.BigEndian.PutUint32(b[8:], s.Ack)
 	b[12] = s.Flags
-	b[13] = byte(ns)
+	b[13] = byte(s.NSACK)
 	binary.BigEndian.PutUint32(b[14:], s.Wnd)
-	binary.BigEndian.PutUint16(b[18:], uint16(len(s.Payload)))
+	binary.BigEndian.PutUint16(b[18:], uint16(plen))
 	off := TCPHeaderLen
-	for i := 0; i < ns; i++ {
-		binary.BigEndian.PutUint32(b[off:], s.SACK[i][0])
-		binary.BigEndian.PutUint32(b[off+4:], s.SACK[i][1])
+	for _, blk := range s.SACK[:s.NSACK] {
+		binary.BigEndian.PutUint32(b[off:], blk[0])
+		binary.BigEndian.PutUint32(b[off+4:], blk[1])
 		off += 8
 	}
-	copy(b[off:], s.Payload)
-	return b
+	return off
 }
 
-func unmarshalTCP(b []byte) (*tcpSegment, error) {
+// unmarshalTCP decodes b into s. s.Payload aliases b.
+func unmarshalTCP(b []byte, s *tcpSegment) error {
 	if len(b) < TCPHeaderLen {
-		return nil, errors.New("ipstack: short TCP segment")
+		return errors.New("ipstack: short TCP segment")
 	}
-	s := &tcpSegment{
+	ns := int(b[13])
+	if ns > maxSACKBlocks {
+		return errors.New("ipstack: bad SACK count")
+	}
+	plen := int(binary.BigEndian.Uint16(b[18:]))
+	off := TCPHeaderLen
+	if off+8*ns+plen > len(b) {
+		return errors.New("ipstack: bad TCP payload length")
+	}
+	*s = tcpSegment{
 		SrcPort: binary.BigEndian.Uint16(b[0:]),
 		DstPort: binary.BigEndian.Uint16(b[2:]),
 		Seq:     binary.BigEndian.Uint32(b[4:]),
 		Ack:     binary.BigEndian.Uint32(b[8:]),
 		Flags:   b[12],
 		Wnd:     binary.BigEndian.Uint32(b[14:]),
-	}
-	ns := int(b[13])
-	if ns > maxSACKBlocks {
-		return nil, errors.New("ipstack: bad SACK count")
-	}
-	plen := int(binary.BigEndian.Uint16(b[18:]))
-	off := TCPHeaderLen
-	if off+8*ns+plen > len(b) {
-		return nil, errors.New("ipstack: bad TCP payload length")
+		NSACK:   ns,
 	}
 	for i := 0; i < ns; i++ {
-		s.SACK = append(s.SACK, [2]uint32{
+		s.SACK[i] = [2]uint32{
 			binary.BigEndian.Uint32(b[off:]),
 			binary.BigEndian.Uint32(b[off+4:]),
-		})
+		}
 		off += 8
 	}
 	s.Payload = b[off : off+plen]
-	return s, nil
+	return nil
 }
 
 func (s *tcpSegment) has(flag uint8) bool { return s.Flags&flag != 0 }
@@ -248,6 +254,17 @@ func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
 func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 func seqGT(a, b uint32) bool  { return int32(a-b) > 0 }
 func seqGEQ(a, b uint32) bool { return int32(a-b) >= 0 }
+
+// seqCmp orders sequence numbers modularly, for slices.SortFunc.
+func seqCmp(a, b uint32) int {
+	switch {
+	case seqLT(a, b):
+		return -1
+	case seqGT(a, b):
+		return 1
+	}
+	return 0
+}
 func seqMax(a, b uint32) uint32 {
 	if seqGT(a, b) {
 		return a

@@ -184,7 +184,7 @@ func (s *Stack) onIPv4(f *ether.Frame) {
 		// broadcast; echoing ICMP to broadcast would invite storms.
 		s.IPIn++
 		if h.Proto == ProtoUDP {
-			s.onUDP(h, payload)
+			s.onUDP(&h, payload)
 		}
 		return
 	}
@@ -195,30 +195,23 @@ func (s *Stack) onIPv4(f *ether.Frame) {
 	s.IPIn++
 	switch h.Proto {
 	case ProtoICMP:
-		s.onICMP(h, payload)
+		s.onICMP(&h, payload)
 	case ProtoUDP:
-		s.onUDP(h, payload)
+		s.onUDP(&h, payload)
 	case ProtoTCP:
-		s.onTCP(h, payload)
+		s.onTCP(&h, payload)
 	default:
 		s.Drops++
 	}
 }
 
-// sendIP resolves the destination and emits an IPv4 packet. Packets are
-// queued while ARP resolution is in flight; broadcast skips ARP entirely.
-func (s *Stack) sendIP(dst netsim.IP, proto uint8, payload []byte) {
-	s.sendIPFrom(s.ip, dst, proto, payload)
-}
-
-// sendIPFrom is sendIP with an explicit source address: traffic owed to
-// an alias (a VIP-addressed connection or echo) must reply from the
-// alias, or the far end's demux would never match it.
-func (s *Stack) sendIPFrom(src, dst netsim.IP, proto uint8, payload []byte) {
-	if len(payload)+IPHeaderLen > s.cfg.MTU {
-		panic(fmt.Sprintf("ipstack %s: packet exceeds MTU: %d", s.name, len(payload)+IPHeaderLen))
+// sendPacket emits a built IPv4 packet (see newPacket) to dst. Packets
+// are queued while ARP resolution is in flight; broadcast skips ARP
+// entirely.
+func (s *Stack) sendPacket(dst netsim.IP, pkt []byte) {
+	if len(pkt) > s.cfg.MTU {
+		panic(fmt.Sprintf("ipstack %s: packet exceeds MTU: %d", s.name, len(pkt)))
 	}
-	pkt := marshalIPv4(&ipv4Header{TTL: defaultTTL, Proto: proto, Src: src, Dst: dst}, payload)
 	s.IPOut++
 	if dst == netsim.BroadcastIP {
 		s.sendFrame(&ether.Frame{Dst: ether.Broadcast, Src: s.mac, Type: ether.TypeIPv4, Payload: pkt})
@@ -244,11 +237,10 @@ func (s *Stack) onICMP(h *ipv4Header, payload []byte) {
 	}
 	switch m.Type {
 	case ICMPEchoRequest:
-		reply := *m
-		reply.Type = ICMPEchoReply
+		m.Type = ICMPEchoReply
 		// Reply from the address the request was sent to — the primary or
 		// an alias — so pinging a VIP looks like pinging a real host.
-		s.sendIPFrom(h.Dst, h.Src, ProtoICMP, marshalICMP(&reply))
+		s.sendICMP(h.Dst, h.Src, &m)
 	case ICMPEchoReply:
 		key := uint32(m.ID)<<16 | uint32(m.Seq)
 		if w, ok := s.pingWait[key]; ok {
@@ -258,6 +250,13 @@ func (s *Stack) onICMP(h *ipv4Header, payload []byte) {
 			w.proc.Unpark()
 		}
 	}
+}
+
+// sendICMP emits the echo message m from src to dst.
+func (s *Stack) sendICMP(src, dst netsim.IP, m *icmpEcho) {
+	pkt := newPacket(ProtoICMP, src, dst, ICMPHeaderLen+len(m.Data))
+	putICMP(pkt[IPHeaderLen:], m)
+	s.sendPacket(dst, pkt)
 }
 
 // ErrTimeout is returned by blocking operations that exceed their
@@ -280,9 +279,9 @@ func (s *Stack) Ping(p *sim.Proc, dst netsim.IP, payloadLen int, timeout sim.Dur
 	if payloadLen < 0 {
 		payloadLen = 56
 	}
-	s.sendIP(dst, ProtoICMP, marshalICMP(&icmpEcho{
+	s.sendICMP(s.ip, dst, &icmpEcho{
 		Type: ICMPEchoRequest, ID: id, Seq: seq, Data: make([]byte, payloadLen),
-	}))
+	})
 	timer := sim.NewTimer(s.eng, func() {
 		if _, still := s.pingWait[key]; still {
 			delete(s.pingWait, key)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"wavnet/internal/netsim"
 	"wavnet/internal/sim"
@@ -74,11 +74,11 @@ type Conn struct {
 
 	mss int
 
-	// Send side. sndBuf[0] corresponds to sequence sndUna once
+	// Send side. The first byte of snd is sequence sndUna once
 	// established (the SYN consumed iss).
 	iss            uint32
 	sndUna, sndNxt uint32
-	sndBuf         []byte
+	snd            ring
 	sndClosed      bool
 	finSent        bool
 	finAcked       bool
@@ -111,7 +111,7 @@ type Conn struct {
 
 	// Receive side.
 	rcvNxt      uint32
-	rcvBuf      []byte
+	rcv         ring
 	ooo         []oooSeg
 	peerFin     bool
 	peerFinSeq  uint32
@@ -131,7 +131,7 @@ type Conn struct {
 	TailProbes        uint64
 	Timeouts          uint64
 	DupAcksSeen       uint64
-	timeWaitEv        *sim.Event
+	timeWaitTimer     *sim.Timer // made on entering TIME_WAIT
 }
 
 type oooSeg struct {
@@ -257,7 +257,7 @@ func (c *Conn) MSS() int { return c.mss }
 func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 func (c *Conn) advWnd() uint32 {
-	free := c.stack.cfg.RecvBuf - len(c.rcvBuf)
+	free := c.stack.cfg.RecvBuf - c.rcv.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -268,7 +268,13 @@ func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
 
 // ---- output ----
 
-func (c *Conn) sendSeg(seg *tcpSegment) {
+// sendSeg sends a segment that carries no stream data.
+func (c *Conn) sendSeg(seg *tcpSegment) { c.transmit(seg, 0, 0) }
+
+// transmit sends seg with n bytes of the send stream, starting off bytes
+// past sndUna, as its payload. Headers and payload are written straight
+// into one packet buffer.
+func (c *Conn) transmit(seg *tcpSegment, off, n int) {
 	seg.SrcPort = c.local.Port
 	seg.DstPort = c.remote.Port
 	c.SegsOut++
@@ -276,35 +282,39 @@ func (c *Conn) sendSeg(seg *tcpSegment) {
 	// Source from the connection's own local address: connections
 	// accepted on an alias (a service VIP) must answer as the VIP, or
 	// the client's demux key would never match.
-	c.stack.sendIPFrom(c.local.IP, c.remote.IP, ProtoTCP, marshalTCP(seg))
+	pkt := newPacket(ProtoTCP, c.local.IP, c.remote.IP, seg.headerLen()+n)
+	h := IPHeaderLen + putTCP(pkt[IPHeaderLen:], seg, n)
+	if c.snd.CopyAt(pkt[h:], off) != n {
+		panic("ipstack: segment beyond the send buffer")
+	}
+	c.stack.sendPacket(c.remote.IP, pkt)
 }
 
 func (c *Conn) sendACK() {
-	c.sendSeg(&tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd(), SACK: c.sackBlocks()})
+	seg := tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd()}
+	c.sackBlocks(&seg)
+	c.sendSeg(&seg)
 }
 
-// sackBlocks reports the receiver's out-of-order ranges (already
-// coalesced by stashOOO) as SACK blocks: the lowest blocks (the frontier
-// the sender must fill first) plus always the highest block, so the
-// sender can bound the truly-lost span.
-func (c *Conn) sackBlocks() [][2]uint32 {
-	if len(c.ooo) == 0 {
-		return nil
-	}
-	var blocks [][2]uint32
+// sackBlocks fills seg's SACK blocks with the receiver's out-of-order
+// ranges (already coalesced by stashOOO): the lowest blocks (the
+// frontier the sender must fill first) plus always the highest block,
+// so the sender can bound the truly-lost span.
+func (c *Conn) sackBlocks(seg *tcpSegment) {
 	n := len(c.ooo)
 	take := n
 	if take > maxSACKBlocks {
 		take = maxSACKBlocks - 1
 	}
-	for _, s := range c.ooo[:take] {
-		blocks = append(blocks, [2]uint32{s.seq, s.seq + uint32(len(s.data))})
+	for i, s := range c.ooo[:take] {
+		seg.SACK[i] = [2]uint32{s.seq, s.seq + uint32(len(s.data))}
 	}
+	seg.NSACK = take
 	if take < n {
 		last := c.ooo[n-1]
-		blocks = append(blocks, [2]uint32{last.seq, last.seq + uint32(len(last.data))})
+		seg.SACK[take] = [2]uint32{last.seq, last.seq + uint32(len(last.data))}
+		seg.NSACK++
 	}
-	return blocks
 }
 
 // pump transmits as much pending data as the congestion and peer windows
@@ -323,8 +333,8 @@ func (c *Conn) pump() {
 		if c.finSent {
 			break
 		}
-		sentData := int(c.sndNxt - c.sndUna) // bytes of sndBuf already sent
-		avail := len(c.sndBuf) - sentData
+		sentData := int(c.sndNxt - c.sndUna) // bytes of snd already sent
+		avail := c.snd.Len() - sentData
 		if avail <= 0 {
 			break
 		}
@@ -347,14 +357,11 @@ func (c *Conn) pump() {
 		if n < c.mss && n < avail {
 			break
 		}
-		payload := make([]byte, n)
-		copy(payload, c.sndBuf[sentData:sentData+n])
-		seg := &tcpSegment{
-			Flags:   flagACK | flagPSH,
-			Seq:     c.sndNxt,
-			Ack:     c.rcvNxt,
-			Wnd:     c.advWnd(),
-			Payload: payload,
+		seg := tcpSegment{
+			Flags: flagACK | flagPSH,
+			Seq:   c.sndNxt,
+			Ack:   c.rcvNxt,
+			Wnd:   c.advWnd(),
 		}
 		if !c.rttPending {
 			c.rttPending = true
@@ -363,10 +370,10 @@ func (c *Conn) pump() {
 		}
 		c.sndNxt += uint32(n)
 		c.BytesOut += uint64(n)
-		c.sendSeg(seg)
+		c.transmit(&seg, sentData, n)
 	}
 	// FIN once everything is sent.
-	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == len(c.sndBuf) {
+	if c.sndClosed && !c.finSent && int(c.sndNxt-c.sndUna) == c.snd.Len() {
 		c.finSeq = c.sndNxt
 		c.finSent = true
 		c.sndNxt++
@@ -386,7 +393,7 @@ func (c *Conn) pump() {
 		c.tlpTimer.Stop()
 	}
 	// Zero-window probing.
-	if c.peerWnd == 0 && len(c.sndBuf) > 0 && c.flight() == 0 {
+	if c.peerWnd == 0 && c.snd.Len() > 0 && c.flight() == 0 {
 		if !c.persistTimer.Active() {
 			c.persistTimer.Reset(c.rto)
 		}
@@ -394,18 +401,12 @@ func (c *Conn) pump() {
 }
 
 func (c *Conn) onPersist() {
-	if c.state == stateClosed || c.peerWnd > 0 || len(c.sndBuf) == 0 {
+	if c.state == stateClosed || c.peerWnd > 0 || c.snd.Len() == 0 {
 		return
 	}
 	// Probe with one byte beyond the window.
-	probe := &tcpSegment{
-		Flags:   flagACK,
-		Seq:     c.sndNxt,
-		Ack:     c.rcvNxt,
-		Wnd:     c.advWnd(),
-		Payload: c.sndBuf[int(c.sndNxt-c.sndUna):][:1],
-	}
-	c.sendSeg(probe)
+	probe := tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd()}
+	c.transmit(&probe, int(c.sndNxt-c.sndUna), 1)
 	c.persistTimer.Reset(c.rto)
 }
 
@@ -525,15 +526,15 @@ func (c *Conn) onRTO() {
 // ---- input ----
 
 func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
-	seg, err := unmarshalTCP(payload)
-	if err != nil {
+	var seg tcpSegment
+	if err := unmarshalTCP(payload, &seg); err != nil {
 		s.Drops++
 		return
 	}
 	key := connKey{seg.DstPort, h.Src, seg.SrcPort}
 	if c, ok := s.conns[key]; ok {
 		c.SegsIn++
-		c.onSegment(seg)
+		c.onSegment(&seg)
 		return
 	}
 	// New connection to a listener?
@@ -554,7 +555,7 @@ func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
 	}
 	// No home for this segment: RST.
 	if !seg.has(flagRST) {
-		rst := &tcpSegment{SrcPort: seg.DstPort, DstPort: seg.SrcPort, Flags: flagRST | flagACK}
+		rst := tcpSegment{SrcPort: seg.DstPort, DstPort: seg.SrcPort, Flags: flagRST | flagACK}
 		if seg.has(flagACK) {
 			rst.Seq = seg.Ack
 		}
@@ -562,7 +563,9 @@ func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
 		if seg.has(flagSYN) {
 			rst.Ack++
 		}
-		s.sendIPFrom(h.Dst, h.Src, ProtoTCP, marshalTCP(rst))
+		pkt := newPacket(ProtoTCP, h.Dst, h.Src, rst.headerLen())
+		putTCP(pkt[IPHeaderLen:], &rst, 0)
+		s.sendPacket(h.Src, pkt)
 	}
 }
 
@@ -627,7 +630,7 @@ func (c *Conn) addSacked(start, end uint32) {
 		start = c.sndUna
 	}
 	c.sacked = append(c.sacked, [2]uint32{start, end})
-	sort.Slice(c.sacked, func(i, j int) bool { return seqLT(c.sacked[i][0], c.sacked[j][0]) })
+	slices.SortFunc(c.sacked, func(a, b [2]uint32) int { return seqCmp(a[0], b[0]) })
 	merged := c.sacked[:1]
 	for _, r := range c.sacked[1:] {
 		last := &merged[len(merged)-1]
@@ -752,10 +755,10 @@ func (c *Conn) retransmitRange(seq, limit uint32) int {
 		return 1
 	}
 	off := int(seq - c.sndUna)
-	if off < 0 || off >= len(c.sndBuf) {
+	if off < 0 || off >= c.snd.Len() {
 		return 0
 	}
-	n := len(c.sndBuf) - off
+	n := c.snd.Len() - off
 	if n > c.mss {
 		n = c.mss
 	}
@@ -765,9 +768,7 @@ func (c *Conn) retransmitRange(seq, limit uint32) int {
 	if n <= 0 {
 		return 0
 	}
-	payload := make([]byte, n)
-	copy(payload, c.sndBuf[off:off+n])
-	c.sendSeg(&tcpSegment{Flags: flagACK | flagPSH, Seq: seq, Ack: c.rcvNxt, Wnd: c.advWnd(), Payload: payload})
+	c.transmit(&tcpSegment{Flags: flagACK | flagPSH, Seq: seq, Ack: c.rcvNxt, Wnd: c.advWnd()}, off, n)
 	c.Retransmits++
 	return n
 }
@@ -814,7 +815,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 	if seqGT(ack, c.sndNxt) {
 		return // acks data we never sent
 	}
-	for _, blk := range seg.SACK {
+	for _, blk := range seg.SACK[:seg.NSACK] {
 		c.addSacked(blk[0], blk[1])
 	}
 	if seqGT(ack, c.sndUna) {
@@ -823,10 +824,11 @@ func (c *Conn) processAck(seg *tcpSegment) {
 			c.finAcked = true
 			ackedData--
 		}
-		if int(ackedData) > len(c.sndBuf) {
-			ackedData = uint32(len(c.sndBuf))
+		if int(ackedData) > c.snd.Len() {
+			ackedData = uint32(c.snd.Len())
 		}
-		c.sndBuf = c.sndBuf[ackedData:]
+		c.snd.Discard(int(ackedData))
+		c.releaseBuffers()
 		c.sndUna = ack
 		c.trimSacked()
 		c.peerWnd = seg.Wnd
@@ -905,7 +907,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 	// and either an unchanged window (RFC 5681) or SACK info present.
 	if ack == c.sndUna && len(seg.Payload) == 0 && c.flight() > 0 &&
 		!seg.has(flagSYN) && !seg.has(flagFIN) &&
-		(seg.Wnd == c.peerWnd || len(seg.SACK) > 0) {
+		(seg.Wnd == c.peerWnd || seg.NSACK > 0) {
 		c.dupAcks++
 		c.DupAcksSeen++
 		c.peerWnd = seg.Wnd
@@ -914,7 +916,7 @@ func (c *Conn) processAck(seg *tcpSegment) {
 			// window of data. Dup ACKs for losses inside a window we
 			// already responded to resume recovery at the current cwnd.
 			c.enterRecovery(seqGEQ(c.sndUna, c.recover))
-		} else if c.tlpOut && !c.inRecovery && len(seg.SACK) > 0 {
+		} else if c.tlpOut && !c.inRecovery && seg.NSACK > 0 {
 			// The tail probe was SACKed while the hole below it persists:
 			// the tail of the flight was genuinely lost, and no further
 			// dup ACKs are coming to reach the usual threshold of three.
@@ -965,11 +967,11 @@ func (c *Conn) processData(seg *tcpSegment) {
 
 // admit appends in-order data to the receive buffer.
 func (c *Conn) admit(data []byte) {
-	free := c.stack.cfg.RecvBuf - len(c.rcvBuf)
+	free := c.stack.cfg.RecvBuf - c.rcv.Len()
 	if len(data) > free {
 		data = data[:free] // peer overran our advertised window
 	}
-	c.rcvBuf = append(c.rcvBuf, data...)
+	c.rcv.Write(data)
 	c.rcvNxt += uint32(len(data))
 	c.BytesIn += uint64(len(data))
 }
@@ -983,7 +985,7 @@ func (c *Conn) stashOOO(seq uint32, data []byte, fin bool) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	c.ooo = append(c.ooo, oooSeg{seq: seq, data: cp, fin: fin})
-	sort.Slice(c.ooo, func(i, j int) bool { return seqLT(c.ooo[i].seq, c.ooo[j].seq) })
+	slices.SortFunc(c.ooo, func(a, b oooSeg) int { return seqCmp(a.seq, b.seq) })
 	// Coalesce overlapping/adjacent runs.
 	merged := c.ooo[:1]
 	for _, s := range c.ooo[1:] {
@@ -1031,6 +1033,7 @@ func (c *Conn) consumeFin() {
 	}
 	c.rcvNxt++
 	c.peerFinDone = true
+	c.releaseBuffers()
 	switch c.state {
 	case stateEstablished:
 		c.setState(stateCloseWait)
@@ -1069,10 +1072,10 @@ func (c *Conn) enterTimeWait() {
 	c.setState(stateTimeWait)
 	c.rtxTimer.Stop()
 	c.tlpTimer.Stop()
-	if c.timeWaitEv != nil {
-		c.stack.eng.Cancel(c.timeWaitEv)
+	if c.timeWaitTimer == nil {
+		c.timeWaitTimer = sim.NewTimer(c.stack.eng, c.remove)
 	}
-	c.timeWaitEv = c.stack.eng.Schedule(timeWait, c.remove)
+	c.timeWaitTimer.Reset(timeWait)
 }
 
 func (c *Conn) setState(s connState) { c.state = s }
@@ -1083,10 +1086,25 @@ func (c *Conn) remove() {
 	c.rtxTimer.Stop()
 	c.tlpTimer.Stop()
 	c.persistTimer.Stop()
+	c.snd.Release()
+	c.rcv.Release()
 	delete(c.stack.conns, c.key)
 	c.readWq.Broadcast()
 	c.writeWq.Broadcast()
 	c.connWq.Broadcast()
+}
+
+// releaseBuffers drops the array of a stream buffer that is empty and
+// can never be written again: the send buffer once closed and fully
+// acknowledged, the receive buffer once the peer's FIN is consumed and
+// the data read. Connections idling in TIME_WAIT then hold no buffers.
+func (c *Conn) releaseBuffers() {
+	if c.sndClosed {
+		c.snd.Release()
+	}
+	if c.peerFinDone {
+		c.rcv.Release()
+	}
 }
 
 // teardown aborts with an error.
@@ -1127,9 +1145,10 @@ func (c *Conn) SRTT() sim.Duration { return c.srtt }
 // Read copies received bytes into buf, blocking until data, EOF or error.
 func (c *Conn) Read(p *sim.Proc, buf []byte) (int, error) {
 	for {
-		if len(c.rcvBuf) > 0 {
-			n := copy(buf, c.rcvBuf)
-			c.rcvBuf = c.rcvBuf[n:]
+		if c.rcv.Len() > 0 {
+			n := c.rcv.CopyAt(buf, 0)
+			c.rcv.Discard(n)
+			c.releaseBuffers()
 			// Window update if we freed a meaningful amount.
 			if adv := c.advWnd(); adv >= uint32(c.mss) && adv-c.lastAdvWnd >= uint32(c.mss) && c.state != stateClosed {
 				c.sendACK()
@@ -1175,7 +1194,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if c.sndClosed || c.state == stateClosed {
 			return written, ErrConnClosed
 		}
-		space := c.stack.cfg.SendBuf - len(c.sndBuf)
+		space := c.stack.cfg.SendBuf - c.snd.Len()
 		if space <= 0 {
 			if !c.writeWq.Wait(p) {
 				return written, ErrConnClosed
@@ -1186,7 +1205,7 @@ func (c *Conn) Write(p *sim.Proc, data []byte) (int, error) {
 		if n > space {
 			n = space
 		}
-		c.sndBuf = append(c.sndBuf, data[written:written+n]...)
+		c.snd.Write(data[written : written+n])
 		written += n
 		c.pump()
 	}
@@ -1200,6 +1219,7 @@ func (c *Conn) Close() {
 		return
 	}
 	c.sndClosed = true
+	c.releaseBuffers()
 	c.pump()
 }
 

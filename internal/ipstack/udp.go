@@ -61,7 +61,9 @@ func (u *UDPSock) SendTo(dst netsim.Addr, payload []byte) error {
 		return fmt.Errorf("ipstack: datagram of %d bytes exceeds MTU", len(payload))
 	}
 	u.Out++
-	u.stack.sendIP(dst.IP, ProtoUDP, marshalUDP(u.port, dst.Port, payload))
+	pkt := newPacket(ProtoUDP, u.stack.ip, dst.IP, UDPHeaderLen+len(payload))
+	putUDP(pkt[IPHeaderLen:], u.port, dst.Port, payload)
+	u.stack.sendPacket(dst.IP, pkt)
 	return nil
 }
 

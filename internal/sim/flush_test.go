@@ -110,14 +110,14 @@ func TestAtTimeEndRunsAfterInstant(t *testing.T) {
 func TestAtTimeEndIgnoresCancelledHead(t *testing.T) {
 	e := NewEngine(1)
 	var flushedAt Time
-	var ev *Event
+	tm := NewTimer(e, func() {})
 	e.Schedule(time.Millisecond, func() {
 		e.AtTimeEnd(func() { flushedAt = e.Now() })
 		// A cancelled same-instant event must not defer the flush to a
 		// later timestamp.
-		e.Cancel(ev)
+		tm.Stop()
 	})
-	ev = e.Schedule(time.Millisecond, func() {})
+	tm.Reset(time.Millisecond)
 	e.Schedule(5*time.Millisecond, func() {})
 	e.Run()
 	if flushedAt != Time(time.Millisecond) {

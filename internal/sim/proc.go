@@ -23,8 +23,15 @@ type Proc struct {
 	parked bool
 	dead   bool
 
-	// wake event for Sleep, so Interrupt can cancel it.
-	sleepEv *Event
+	// sleep is the wake-up timer of Sleep. sleepLive is set by Sleep and
+	// cleared by any wake-up firing, including a stale one left behind
+	// by a Sleep that an Unpark cut short; an interrupted Sleep stops the
+	// timer only while it is set.
+	sleep     Timer
+	sleepLive bool
+	// unparkFn and interruptFn are the wake-up callbacks of Unpark and
+	// Interrupt, bound once at Spawn.
+	unparkFn, interruptFn func()
 
 	// interrupted is the sticky interrupt flag: set by Interrupt, it
 	// makes every Park/Sleep return false — without blocking — until
@@ -52,6 +59,23 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		name:   name,
 		resume: make(chan procSignal),
 		yield:  make(chan struct{}),
+	}
+	p.sleep.init(e, func() {
+		p.sleepLive = false
+		p.activate(sigRun)
+	})
+	p.unparkFn = func() {
+		if !p.dead && p.parked {
+			p.activate(sigRun)
+		}
+	}
+	p.interruptFn = func() {
+		// Re-check the flag: if the process consumed the interrupt
+		// (ClearInterrupt) after being woken by its real signal, this
+		// stale wake-up must not interrupt an unrelated later park.
+		if !p.dead && p.parked && p.interrupted {
+			p.activate(sigInterrupt)
+		}
 	}
 	e.procs[p] = struct{}{}
 	go func() {
@@ -131,15 +155,18 @@ func (p *Proc) Sleep(d Duration) bool {
 	if p.interrupted {
 		return false
 	}
-	p.sleepEv = p.eng.Schedule(d, func() {
-		p.sleepEv = nil
-		p.activate(sigRun)
-	})
+	if p.sleep.Active() {
+		// An Unpark cut the previous Sleep short. Its wake-up still
+		// fires at its own time and sequence, as a plain event.
+		p.eng.detach(&p.sleep.ev)
+	}
+	p.sleepLive = true
+	p.sleep.Reset(d)
 	p.park()
 	if p.interrupted {
-		if p.sleepEv != nil {
-			p.eng.Cancel(p.sleepEv)
-			p.sleepEv = nil
+		if p.sleepLive {
+			p.sleep.Stop()
+			p.sleepLive = false
 		}
 		return false
 	}
@@ -167,11 +194,7 @@ func (p *Proc) Unpark() {
 	if p.dead || !p.parked {
 		return
 	}
-	p.eng.Schedule(0, func() {
-		if !p.dead && p.parked {
-			p.activate(sigRun)
-		}
-	})
+	p.eng.Schedule(0, p.unparkFn)
 }
 
 // Interrupt asks the process to wind down: the sticky interrupted flag
@@ -189,14 +212,7 @@ func (p *Proc) Interrupt() {
 	if !p.parked {
 		return // the flag is observed at the next Park/Sleep
 	}
-	p.eng.Schedule(0, func() {
-		// Re-check the flag: if the process consumed the interrupt
-		// (ClearInterrupt) after being woken by its real signal, this
-		// stale wake-up must not interrupt an unrelated later park.
-		if !p.dead && p.parked && p.interrupted {
-			p.activate(sigInterrupt)
-		}
-	})
+	p.eng.Schedule(0, p.interruptFn)
 }
 
 // Interrupted reports whether an interrupt is pending on the process.

@@ -2,7 +2,14 @@
 // every WAVNet substrate runs on.
 //
 // The engine maintains a virtual clock and an event queue ordered by
-// (time, sequence). Events are plain callbacks; a coroutine layer (Proc)
+// (time, sequence). Every scheduling call — Schedule, At, Timer.Reset
+// and everything built on them (Ticker, Proc.Sleep, Unpark, Spawn) —
+// takes exactly one sequence number at the moment it is made, so the
+// order is total and the same for a given seed. Schedule and At are
+// fire-and-forget: they return nothing, and their events are recycled
+// through a free list. Timer is the only cancellable handle: it embeds
+// its event, so Reset and Stop re-key or remove it in place without
+// allocating. Events are plain callbacks; a coroutine layer (Proc)
 // lets higher-level code — TCP sockets, MPI ranks, benchmark drivers —
 // be written in a blocking style while the whole simulation remains
 // single-threaded and bit-for-bit deterministic for a given seed.
@@ -21,7 +28,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -55,46 +61,22 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
-// Event is a scheduled callback. The zero value is invalid; events are
-// created by Engine.Schedule and friends.
-type Event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	index     int // heap index, -1 when not queued
-	cancelled bool
+// event is one queued callback. Events made by Schedule and At come
+// from the engine's free list and return to it just before their
+// callback runs; a Timer embeds its own event and keeps it.
+type event struct {
+	at     Time
+	seq    uint64
+	fn     func()
+	index  int  // heap index, -1 when not queued
+	pooled bool // owned by the free list, not by a Timer
 }
 
-// At reports the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// before is the queue order: time first, then scheduling sequence.
+// Sequence numbers are unique, so the order is total and the pop order
+// depends only on the keys, never on the heap's layout.
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Engine is a discrete-event simulator. Create one with NewEngine; it is
@@ -102,7 +84,8 @@ func (h *eventHeap) Pop() any {
 // layer serializes everything internally).
 type Engine struct {
 	now     Time
-	queue   eventHeap
+	queue   []*event // 4-ary min-heap on (at, seq)
+	free    []*event // recycled Schedule/At events
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -142,61 +125,155 @@ func (e *Engine) Dispatched() uint64 { return e.dispatched }
 // Pending reports how many events are queued.
 func (e *Engine) Pending() int { return len(e.queue) }
 
-// Schedule queues fn to run after delay d (clamped to zero) and returns a
-// handle that can be cancelled.
-func (e *Engine) Schedule(d Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now.Add(d), fn)
+// Schedule queues fn to run after delay d (clamped to zero). The event
+// cannot be cancelled; use a Timer for anything that may need to be
+// stopped or re-armed.
+func (e *Engine) Schedule(d Duration, fn func()) {
+	e.At(e.now.Add(d), fn)
 }
 
-// At queues fn to run at absolute time t (clamped to now).
-func (e *Engine) At(t Time, fn func()) *Event {
+// At queues fn to run at absolute time t (clamped to now). Like
+// Schedule, it is fire-and-forget.
+func (e *Engine) At(t Time, fn func()) {
+	e.push(e.alloc(fn), t)
+}
+
+// alloc takes an event off the free list, or makes one.
+func (e *Engine) alloc(fn func()) *event {
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &event{pooled: true}
+	}
+	ev.fn = fn
+	return ev
+}
+
+// stamp keys ev for time t (clamped to now) under the next sequence
+// number.
+func (e *Engine) stamp(ev *event, t Time) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	ev := &Event{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
+	ev.at, ev.seq = t, e.seq
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.cancelled || ev.index < 0 {
-		if ev != nil {
-			ev.cancelled = true
-		}
-		return
+// push queues ev at t.
+func (e *Engine) push(ev *event, t Time) {
+	e.stamp(ev, t)
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
+}
+
+// rekey moves the queued event ev to t: the same key a remove followed
+// by push would give.
+func (e *Engine) rekey(ev *event, t Time) {
+	e.stamp(ev, t)
+	e.fix(ev.index)
+}
+
+// detach leaves the queued event ev idle and puts a pooled copy with the
+// same key and callback in its place in the heap, so the firing still
+// happens exactly as scheduled.
+func (e *Engine) detach(ev *event) {
+	d := e.alloc(ev.fn)
+	d.at, d.seq, d.index = ev.at, ev.seq, ev.index
+	e.queue[d.index] = d
+	ev.index = -1
+}
+
+// remove takes the queued event ev out of the heap.
+func (e *Engine) remove(ev *event) {
+	i := ev.index
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	ev.index = -1
+	if i != n {
+		e.queue[i] = last
+		last.index = i
+		e.fix(i)
 	}
-	ev.cancelled = true
-	heap.Remove(&e.queue, ev.index)
+}
+
+func (e *Engine) fix(i int) {
+	if i > 0 && e.queue[i].before(e.queue[(i-1)/4]) {
+		e.up(i)
+	} else {
+		e.down(i)
+	}
+}
+
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	ev := q[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if q[j].before(q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(ev) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // Step executes the single next event. It reports false when the queue is
 // empty or the engine has been stopped.
 func (e *Engine) Step() bool {
-	if e.stopped {
+	if e.stopped || len(e.queue) == 0 {
 		return false
 	}
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.cancelled {
-			continue
-		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		e.dispatched++
-		ev.fn()
-		if len(e.flushers) > 0 {
-			e.runTimeEndFlushers()
-		}
-		return true
+	ev := e.queue[0]
+	e.remove(ev)
+	if ev.at > e.now {
+		e.now = ev.at
 	}
-	return false
+	fn := ev.fn
+	if ev.pooled {
+		ev.fn = nil
+		e.free = append(e.free, ev)
+	}
+	e.dispatched++
+	fn()
+	if len(e.flushers) > 0 {
+		e.runTimeEndFlushers()
+	}
+	return true
 }
 
 // AtTimeEnd registers fn to run once after the last already-queued event
@@ -213,11 +290,6 @@ func (e *Engine) AtTimeEnd(fn func()) {
 // runTimeEndFlushers runs the pending AtTimeEnd hooks if no runnable
 // event remains at the current timestamp.
 func (e *Engine) runTimeEndFlushers() {
-	// Drop cancelled heads so a dead same-instant event cannot defer
-	// the flush past the timestamp boundary.
-	for len(e.queue) > 0 && e.queue[0].cancelled {
-		heap.Pop(&e.queue)
-	}
 	if len(e.queue) > 0 && e.queue[0].at <= e.now {
 		return // more events still due at this instant
 	}
@@ -243,13 +315,7 @@ func (e *Engine) RunUntil(t Time) {
 	e.running = true
 	defer func() { e.running = false }()
 	for !e.stopped && len(e.queue) > 0 {
-		// Peek.
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.at > t {
+		if e.queue[0].at > t {
 			break
 		}
 		e.Step()

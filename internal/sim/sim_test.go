@@ -39,14 +39,15 @@ func TestEngineFIFOTieBreak(t *testing.T) {
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	ev := e.Schedule(time.Millisecond, func() { fired = true })
-	e.Cancel(ev)
+	tm := NewTimer(e, func() { fired = true })
+	tm.Reset(time.Millisecond)
+	tm.Stop()
 	e.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
 	// Double cancel must not panic.
-	e.Cancel(ev)
+	tm.Stop()
 }
 
 func TestRunUntil(t *testing.T) {
@@ -321,4 +322,21 @@ func BenchmarkProcSwitch(b *testing.B) {
 	})
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkTimerReset re-arms an armed timer, alternating earlier and
+// later deadlines, in a queue of 200 other events: the retransmission
+// timer's pattern on every ACK.
+func BenchmarkTimerReset(b *testing.B) {
+	e := NewEngine(1)
+	for i := 0; i < 200; i++ {
+		e.Schedule(Duration(i)*time.Millisecond, func() {})
+	}
+	tm := NewTimer(e, func() {})
+	tm.Reset(100 * time.Millisecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm.Reset(Duration(50+100*(i&1)) * time.Millisecond)
+	}
 }

@@ -1,76 +1,76 @@
 package sim
 
 // Timer is a restartable one-shot timer, the building block for protocol
-// retransmission and keepalive logic. The zero value is invalid; create
-// with NewTimer.
+// retransmission and keepalive logic, and the engine's only cancellable
+// handle. It embeds its queue event, so arming, re-arming and stopping
+// it never allocate. The zero value is invalid; create with NewTimer.
 type Timer struct {
 	eng *Engine
-	fn  func()
-	ev  *Event
+	ev  event
 }
 
 // NewTimer returns a stopped timer that will run fn when it fires.
 func NewTimer(e *Engine, fn func()) *Timer {
-	return &Timer{eng: e, fn: fn}
+	t := &Timer{}
+	t.init(e, fn)
+	return t
 }
 
-// Reset (re)arms the timer to fire after d. Any previously pending firing
-// is cancelled.
+func (t *Timer) init(e *Engine, fn func()) {
+	t.eng = e
+	t.ev = event{fn: fn, index: -1}
+}
+
+// Reset (re)arms the timer to fire after d (clamped to zero). Any
+// previously pending firing is superseded. Either way the firing takes
+// a fresh sequence number, so it orders exactly like a new Schedule.
 func (t *Timer) Reset(d Duration) {
-	t.Stop()
-	t.ev = t.eng.Schedule(d, func() {
-		t.ev = nil
-		t.fn()
-	})
+	at := t.eng.now.Add(d)
+	if t.ev.index >= 0 {
+		t.eng.rekey(&t.ev, at)
+		return
+	}
+	t.eng.push(&t.ev, at)
 }
 
 // Stop cancels a pending firing, if any. It reports whether a firing was
 // pending.
 func (t *Timer) Stop() bool {
-	if t.ev == nil {
+	if t.ev.index < 0 {
 		return false
 	}
-	t.eng.Cancel(t.ev)
-	t.ev = nil
+	t.eng.remove(&t.ev)
 	return true
 }
 
 // Active reports whether the timer is armed.
-func (t *Timer) Active() bool { return t.ev != nil }
+func (t *Timer) Active() bool { return t.ev.index >= 0 }
 
 // Ticker invokes fn every period until stopped. Create with NewTicker.
 type Ticker struct {
-	eng    *Engine
+	t      Timer
 	period Duration
 	fn     func()
-	ev     *Event
 	stop   bool
 }
 
 // NewTicker starts a ticker whose first tick is one period from now.
 func NewTicker(e *Engine, period Duration, fn func()) *Ticker {
-	t := &Ticker{eng: e, period: period, fn: fn}
-	t.schedule()
-	return t
+	tk := &Ticker{period: period, fn: fn}
+	tk.t.init(e, tk.tick)
+	tk.t.Reset(period)
+	return tk
 }
 
-func (t *Ticker) schedule() {
-	t.ev = t.eng.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		if !t.stop {
-			t.schedule()
-		}
-	})
+func (tk *Ticker) tick() {
+	tk.fn()
+	if !tk.stop {
+		tk.t.Reset(tk.period)
+	}
 }
 
 // Stop halts the ticker.
-func (t *Ticker) Stop() {
-	t.stop = true
-	if t.ev != nil {
-		t.eng.Cancel(t.ev)
-		t.ev = nil
-	}
+func (tk *Ticker) Stop() {
+	tk.stop = true
+	tk.t.Stop()
 }
