@@ -173,7 +173,7 @@ type tcpSegment struct {
 	Wnd              uint32
 	SACK             [maxSACKBlocks][2]uint32
 	NSACK            int
-	Payload          []byte // received payload; outbound bytes come from the send ring
+	Payload          []byte // the payload inside the packet, once decoded or sent
 }
 
 // headerLen is the encoded header length, SACK blocks included.

@@ -1,6 +1,7 @@
 package ipstack
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -205,14 +206,15 @@ func (s *Stack) onIPv4(f *ether.Frame) {
 	}
 }
 
-// sendPacket emits a built IPv4 packet (see newPacket) to dst. Packets
-// are queued while ARP resolution is in flight; broadcast skips ARP
-// entirely.
-func (s *Stack) sendPacket(dst netsim.IP, pkt []byte) {
+// sendPacket emits a built IPv4 packet (see newPacket) to the
+// destination in its header. Packets are queued while ARP resolution is
+// in flight; broadcast skips ARP entirely.
+func (s *Stack) sendPacket(pkt []byte) {
 	if len(pkt) > s.cfg.MTU {
 		panic(fmt.Sprintf("ipstack %s: packet exceeds MTU: %d", s.name, len(pkt)))
 	}
 	s.IPOut++
+	dst := netsim.IP(binary.BigEndian.Uint32(pkt[16:]))
 	if dst == netsim.BroadcastIP {
 		s.sendFrame(&ether.Frame{Dst: ether.Broadcast, Src: s.mac, Type: ether.TypeIPv4, Payload: pkt})
 		return
@@ -256,7 +258,7 @@ func (s *Stack) onICMP(h *ipv4Header, payload []byte) {
 func (s *Stack) sendICMP(src, dst netsim.IP, m *icmpEcho) {
 	pkt := newPacket(ProtoICMP, src, dst, ICMPHeaderLen+len(m.Data))
 	putICMP(pkt[IPHeaderLen:], m)
-	s.sendPacket(dst, pkt)
+	s.sendPacket(pkt)
 }
 
 // ErrTimeout is returned by blocking operations that exceed their

@@ -207,7 +207,7 @@ func (s *Stack) Dial(p *sim.Proc, remote netsim.Addr) (*Conn, error) {
 	c.iss = s.eng.Rand().Uint32()
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
 	c.lostBelow, c.rtxUntil, c.recover = c.sndUna, c.sndUna, c.sndUna
-	c.sendSeg(&tcpSegment{Flags: flagSYN, Seq: c.iss, Wnd: c.advWnd()})
+	c.transmit(&tcpSegment{Flags: flagSYN, Seq: c.iss, Wnd: c.advWnd()}, 0, 0)
 	c.armRTX()
 	for c.state != stateEstablished && c.err == nil {
 		if !c.connWq.Wait(p) {
@@ -268,9 +268,6 @@ func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
 
 // ---- output ----
 
-// sendSeg sends a segment that carries no stream data.
-func (c *Conn) sendSeg(seg *tcpSegment) { c.transmit(seg, 0, 0) }
-
 // transmit sends seg with n bytes of the send stream, starting off bytes
 // past sndUna, as its payload. Headers and payload are written straight
 // into one packet buffer.
@@ -287,13 +284,14 @@ func (c *Conn) transmit(seg *tcpSegment, off, n int) {
 	if c.snd.CopyAt(pkt[h:], off) != n {
 		panic("ipstack: segment beyond the send buffer")
 	}
-	c.stack.sendPacket(c.remote.IP, pkt)
+	seg.Payload = pkt[h:]
+	c.stack.sendPacket(pkt)
 }
 
 func (c *Conn) sendACK() {
 	seg := tcpSegment{Flags: flagACK, Seq: c.sndNxt, Ack: c.rcvNxt, Wnd: c.advWnd()}
 	c.sackBlocks(&seg)
-	c.sendSeg(&seg)
+	c.transmit(&seg, 0, 0)
 }
 
 // sackBlocks fills seg's SACK blocks with the receiver's out-of-order
@@ -377,7 +375,7 @@ func (c *Conn) pump() {
 		c.finSeq = c.sndNxt
 		c.finSent = true
 		c.sndNxt++
-		c.sendSeg(&tcpSegment{Flags: flagFIN | flagACK, Seq: c.finSeq, Ack: c.rcvNxt, Wnd: c.advWnd()})
+		c.transmit(&tcpSegment{Flags: flagFIN | flagACK, Seq: c.finSeq, Ack: c.rcvNxt, Wnd: c.advWnd()}, 0, 0)
 		switch c.state {
 		case stateEstablished:
 			c.setState(stateFinWait1)
@@ -416,9 +414,9 @@ func (c *Conn) retransmit() {
 	c.Retransmits++
 	switch c.state {
 	case stateSynSent:
-		c.sendSeg(&tcpSegment{Flags: flagSYN, Seq: c.iss, Wnd: c.advWnd()})
+		c.transmit(&tcpSegment{Flags: flagSYN, Seq: c.iss, Wnd: c.advWnd()}, 0, 0)
 	case stateSynRcvd:
-		c.sendSeg(&tcpSegment{Flags: flagSYN | flagACK, Seq: c.iss, Ack: c.rcvNxt, Wnd: c.advWnd()})
+		c.transmit(&tcpSegment{Flags: flagSYN | flagACK, Seq: c.iss, Ack: c.rcvNxt, Wnd: c.advWnd()}, 0, 0)
 	}
 }
 
@@ -549,7 +547,7 @@ func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
 		c.lostBelow, c.rtxUntil, c.recover = c.sndUna, c.sndUna, c.sndUna
 		c.rcvNxt = seg.Seq + 1
 		c.peerWnd = seg.Wnd
-		c.sendSeg(&tcpSegment{Flags: flagSYN | flagACK, Seq: c.iss, Ack: c.rcvNxt, Wnd: c.advWnd()})
+		c.transmit(&tcpSegment{Flags: flagSYN | flagACK, Seq: c.iss, Ack: c.rcvNxt, Wnd: c.advWnd()}, 0, 0)
 		c.armRTX()
 		return
 	}
@@ -565,7 +563,7 @@ func (s *Stack) onTCP(h *ipv4Header, payload []byte) {
 		}
 		pkt := newPacket(ProtoTCP, h.Dst, h.Src, rst.headerLen())
 		putTCP(pkt[IPHeaderLen:], &rst, 0)
-		s.sendPacket(h.Src, pkt)
+		s.sendPacket(pkt)
 	}
 }
 
@@ -750,7 +748,7 @@ func (c *Conn) highestSacked() uint32 {
 // retransmitRange resends up to one MSS starting at seq (or the FIN).
 func (c *Conn) retransmitRange(seq, limit uint32) int {
 	if c.finSent && seq == c.finSeq {
-		c.sendSeg(&tcpSegment{Flags: flagFIN | flagACK, Seq: c.finSeq, Ack: c.rcvNxt, Wnd: c.advWnd()})
+		c.transmit(&tcpSegment{Flags: flagFIN | flagACK, Seq: c.finSeq, Ack: c.rcvNxt, Wnd: c.advWnd()}, 0, 0)
 		c.Retransmits++
 		return 1
 	}
@@ -1228,7 +1226,7 @@ func (c *Conn) Abort() {
 	if c.state == stateClosed {
 		return
 	}
-	c.sendSeg(&tcpSegment{Flags: flagRST | flagACK, Seq: c.sndNxt, Ack: c.rcvNxt})
+	c.transmit(&tcpSegment{Flags: flagRST | flagACK, Seq: c.sndNxt, Ack: c.rcvNxt}, 0, 0)
 	c.teardown(ErrConnReset)
 }
 

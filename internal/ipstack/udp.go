@@ -63,7 +63,7 @@ func (u *UDPSock) SendTo(dst netsim.Addr, payload []byte) error {
 	u.Out++
 	pkt := newPacket(ProtoUDP, u.stack.ip, dst.IP, UDPHeaderLen+len(payload))
 	putUDP(pkt[IPHeaderLen:], u.port, dst.Port, payload)
-	u.stack.sendPacket(dst.IP, pkt)
+	u.stack.sendPacket(pkt)
 	return nil
 }
 

@@ -11,19 +11,20 @@ import (
 // The reference model for TestEngineMatchesModel: a list of pending
 // entries kept in (at, seq) order, where seq is assigned at each
 // scheduling call, plus just enough proc state (parked, interrupt flag,
-// live sleep) to predict which queued wake-ups resume a proc and which
-// find nothing to do.
+// queued sleep wake-up) to predict which queued wake-ups resume a proc
+// and which find nothing to do.
 
 type entryKind int
 
 const (
-	kEvent  entryKind = iota // Schedule; who = event id
-	kTimer                   // Timer.Reset; who = timer index
-	kTicker                  // Ticker tick; who = ticker index
-	kStart                   // Spawn's first activation; who = proc
-	kWake                    // Sleep's wake-up; who = proc
-	kUnpark                  // Unpark; who = proc
-	kInt                     // Interrupt; who = proc
+	kEvent    entryKind = iota // Schedule; who = event id
+	kTimer                     // Timer.Reset; who = timer index
+	kTicker                    // Ticker tick; who = ticker index
+	kDeadline                  // a proc's Park deadline timer; who = proc
+	kStart                     // Spawn's first activation; who = proc
+	kWake                      // Sleep's wake-up; who = proc
+	kUnpark                    // Unpark; who = proc
+	kInt                       // Interrupt; who = proc
 )
 
 type mEntry struct {
@@ -34,8 +35,9 @@ type mEntry struct {
 }
 
 type mProc struct {
-	parked, interrupted, sleepLive bool
-	wake                           *mEntry // latest Sleep's wake-up
+	parked, interrupted bool
+	wake                *mEntry // the current Sleep's queued wake-up
+	deadline            *mEntry // the current Park's deadline timer
 }
 
 type model struct {
@@ -89,8 +91,10 @@ func (m *model) runs(en *mEntry) bool {
 		m.timers[en.who] = nil
 	case kTicker:
 		m.tickers[en.who] = nil
+	case kDeadline:
+		m.procs[en.who].deadline = nil
 	case kWake:
-		m.procs[en.who].sleepLive = false
+		m.procs[en.who].wake = nil
 	case kUnpark:
 		return m.procs[en.who].parked
 	case kInt:
@@ -151,6 +155,9 @@ type modelRun struct {
 	tickers []*Ticker
 	periods []Duration
 	procs   []*Proc
+	// deadlines holds one timer per proc that unparks it, bounding
+	// each Park.
+	deadlines []*Timer
 }
 
 // errModel stops a scenario at its first mismatch. It wraps ErrStopped
@@ -299,6 +306,19 @@ func (r *modelRun) tick(i int) func() {
 	}
 }
 
+func (r *modelRun) deadline(i int) func() {
+	return func() {
+		en := r.m.next(r.e.Now())
+		if en.kind != kDeadline || en.who != i {
+			r.fail("at %v engine fired deadline %d, model expected %+v", r.e.Now(), i, *en)
+		}
+		if r.m.procs[i].parked {
+			r.m.add(0, kUnpark, i)
+		}
+		r.procs[i].Unpark()
+	}
+}
+
 func (r *modelRun) proc(i int) func(*Proc) {
 	return func(p *Proc) {
 		en := r.m.next(r.e.Now())
@@ -308,33 +328,53 @@ func (r *modelRun) proc(i int) func(*Proc) {
 		mp := &r.m.procs[i]
 		for {
 			r.ops(i)
+			// Mostly Sleep; sometimes Park under a deadline timer that
+			// unparks it, so a wake-up left queued by an earlier Sleep
+			// would show as a wrong resume.
+			park := r.rng.Intn(4) == 0
 			d := r.delay() + time.Millisecond
+			wait := func() bool {
+				if park {
+					return p.Park()
+				}
+				return p.Sleep(d)
+			}
 			if mp.interrupted {
-				// Interrupted before it started: Sleep returns at once
-				// and queues nothing.
-				if p.Sleep(d) {
-					r.fail("proc %d slept through a pending interrupt", i)
+				// Interrupted before it started: the wait returns at
+				// once and queues nothing.
+				if wait() {
+					r.fail("proc %d waited through a pending interrupt", i)
 				}
 				p.ClearInterrupt()
 				mp.interrupted = false
 				continue
 			}
-			// A wake-up left by a Sleep cut short stays queued as it was.
-			mp.sleepLive, mp.parked = true, true
-			mp.wake = r.m.add(d, kWake, i)
-			ok := p.Sleep(d)
+			mp.parked = true
+			if park {
+				mp.deadline = r.m.add(d, kDeadline, i)
+				r.deadlines[i].Reset(d)
+			} else {
+				mp.wake = r.m.add(d, kWake, i)
+			}
+			ok := wait()
 			en := r.m.next(r.e.Now())
 			if en.kind < kWake || en.who != i {
 				r.fail("proc %d resumed; model expected %+v", i, *en)
 			}
 			mp.parked = false
 			want := !mp.interrupted
-			if mp.interrupted && mp.sleepLive {
+			if mp.wake != nil {
+				// Woken early: Sleep cancels its wake-up.
 				r.m.remove(mp.wake)
-				mp.sleepLive = false
+				mp.wake = nil
 			}
+			if mp.deadline != nil {
+				r.m.remove(mp.deadline)
+				mp.deadline = nil
+			}
+			r.deadlines[i].Stop()
 			if ok != want {
-				r.fail("proc %d Sleep() = %v, model %v (woken by %+v)", i, ok, want, *en)
+				r.fail("proc %d wait (park %v) = %v, model %v (woken by %+v)", i, park, ok, want, *en)
 			}
 			if !ok {
 				p.ClearInterrupt()
@@ -372,11 +412,12 @@ func TestEngineMatchesModel(t *testing.T) {
 			}
 			r.m.procs = make([]mProc, 3)
 			for i := range r.m.procs {
+				r.deadlines = append(r.deadlines, NewTimer(e, r.deadline(i)))
 				r.m.add(0, kStart, i)
 				r.procs = append(r.procs, e.Spawn(fmt.Sprint("p", i), r.proc(i)))
 			}
 			r.ops(-1)
-			horizon := Time(80 * time.Millisecond)
+			horizon := Time(200 * time.Millisecond)
 			e.RunUntil(horizon)
 			if t.Failed() {
 				return

@@ -23,12 +23,9 @@ type Proc struct {
 	parked bool
 	dead   bool
 
-	// sleep is the wake-up timer of Sleep. sleepLive is set by Sleep and
-	// cleared by any wake-up firing, including a stale one left behind
-	// by a Sleep that an Unpark cut short; an interrupted Sleep stops the
-	// timer only while it is set.
-	sleep     Timer
-	sleepLive bool
+	// sleep is the wake-up timer of Sleep, stopped whenever Sleep
+	// returns so that an early wake leaves nothing queued.
+	sleep Timer
 	// unparkFn and interruptFn are the wake-up callbacks of Unpark and
 	// Interrupt, bound once at Spawn.
 	unparkFn, interruptFn func()
@@ -60,10 +57,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 		resume: make(chan procSignal),
 		yield:  make(chan struct{}),
 	}
-	p.sleep.init(e, func() {
-		p.sleepLive = false
-		p.activate(sigRun)
-	})
+	p.sleep.init(e, func() { p.activate(sigRun) })
 	p.unparkFn = func() {
 		if !p.dead && p.parked {
 			p.activate(sigRun)
@@ -149,28 +143,18 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // Sleep suspends the process for virtual duration d. It returns true if
 // the sleep completed, false if an interrupt is pending — in which case
 // the sleep is skipped entirely (a pending interrupt means the process
-// has been asked to wind down; sleeping on would just delay it).
+// has been asked to wind down; sleeping on would just delay it). An
+// Unpark ends the sleep early, and Sleep then returns true; either way
+// its wake-up is cancelled when it returns.
 func (p *Proc) Sleep(d Duration) bool {
 	p.checkContext("Sleep")
 	if p.interrupted {
 		return false
 	}
-	if p.sleep.Active() {
-		// An Unpark cut the previous Sleep short. Its wake-up still
-		// fires at its own time and sequence, as a plain event.
-		p.eng.detach(&p.sleep.ev)
-	}
-	p.sleepLive = true
 	p.sleep.Reset(d)
 	p.park()
-	if p.interrupted {
-		if p.sleepLive {
-			p.sleep.Stop()
-			p.sleepLive = false
-		}
-		return false
-	}
-	return true
+	p.sleep.Stop()
+	return !p.interrupted
 }
 
 // Park suspends the process until another event calls Unpark (or the

@@ -177,16 +177,6 @@ func (e *Engine) rekey(ev *event, t Time) {
 	e.fix(ev.index)
 }
 
-// detach leaves the queued event ev idle and puts a pooled copy with the
-// same key and callback in its place in the heap, so the firing still
-// happens exactly as scheduled.
-func (e *Engine) detach(ev *event) {
-	d := e.alloc(ev.fn)
-	d.at, d.seq, d.index = ev.at, ev.seq, ev.index
-	e.queue[d.index] = d
-	ev.index = -1
-}
-
 // remove takes the queued event ev out of the heap.
 func (e *Engine) remove(ev *event) {
 	i := ev.index
